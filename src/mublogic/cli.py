@@ -18,6 +18,7 @@ import sys
 
 from .experiment import (
     ALPHA,
+    CHI2_CRITICAL_001,
     Behavior,
     CrossReport,
     ExperimentConfig,
@@ -28,7 +29,7 @@ from .experiment import (
     cross_validate,
     run,
 )
-from .devices import born, prepare
+from .devices import SEED_BOUND, born, prepare
 from .logic import Proposition, decide, partition_table
 from .modmath import Dimension, DimensionMismatch, NotPrimeError
 from .mub import MubReport, verify
@@ -176,6 +177,30 @@ def _pair(text: str) -> tuple[int, int]:
         ) from None
 
 
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer seed, got {text!r}"
+        ) from None
+    if not 0 <= seed < SEED_BOUND:
+        raise argparse.ArgumentTypeError(f"seed must lie in [0, 2**64), got {seed}")
+    return seed
+
+
+def _tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be finite and > 0, got {text!r}"
+        )
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mublogic", description=__doc__.splitlines()[0])
     subparsers = parser.add_subparsers(dest="command", required=True)
@@ -194,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("table", "render the (d+1) x d partition table of function groups")
 
     sub = add("verify-mub", "verify the d+1 mutually unbiased bases numerically")
-    sub.add_argument("--tol", type=float, default=1e-10, help="pass tolerance")
+    sub.add_argument("--tol", type=_tolerance, default=1e-10, help="pass tolerance")
 
     sub = add("decide", "decide a theorem relative to an axiom by enumeration")
     sub.add_argument("--axiom", type=_pair, required=True, metavar="A,B")
@@ -208,10 +233,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--axiom", type=_pair, required=True, metavar="A,B")
     sub.add_argument("--measure", type=int, required=True, metavar="M")
     sub.add_argument("--trials", type=int, required=True)
-    sub.add_argument("--seed", type=int, required=True)
+    sub.add_argument("--seed", type=_seed, required=True, help="in [0, 2**64)")
 
     sub = add("cross-validate", "sweep all axiom/measurement cells for agreement")
-    sub.add_argument("--tol", type=float, default=1e-9, help="classification tolerance")
+    sub.add_argument(
+        "--tol", type=_tolerance, default=1e-9, help="classification tolerance"
+    )
 
     return parser
 
@@ -311,8 +338,9 @@ def _cmd_run(args):
     tally = run(config)
     # the uniformity test has a validity floor; below it the tally is still
     # reported, just without a verdict
+    df = dim.d - 1
     uniformity = None
-    if args.trials >= 5 * dim.d and dim.d - 1 <= 30:
+    if args.trials >= 5 * dim.d and df in CHI2_CRITICAL_001:
         uniformity = chi_square_uniform(tally)
     payload = {
         "d": dim.d,
@@ -328,7 +356,11 @@ def _cmd_run(args):
         f"d={dim.d}, trials={args.trials}, seed={args.seed}"
     ]
     lines += [f"  n={n}: {c}" for n, c in enumerate(tally.counts)]
-    if uniformity is None:
+    if df not in CHI2_CRITICAL_001:
+        lines.append(
+            f"chi-square skipped: no embedded chi-square critical value for df = {df}"
+        )
+    elif uniformity is None:
         lines.append(
             f"chi-square skipped: needs at least {5 * dim.d} trials for a verdict"
         )

@@ -28,7 +28,8 @@ from .qlinalg import Operator, StateVector, apply, compose, inner, pauli_x, paul
 # all mod 2**64. Multiplication by an odd constant is a bijection on 64-bit
 # ints, so distinct trials never collide for a fixed seed.
 TRIAL_SEED_MIX = 0x9E3779B97F4A7C15
-_MASK64 = (1 << 64) - 1
+SEED_BOUND = 1 << 64
+_MASK64 = SEED_BOUND - 1
 
 PROBABILITY_SUM_TOL = 1e-12
 
@@ -123,9 +124,122 @@ def sample(dist: OutcomeDistribution, rng: np.random.Generator) -> int:
     return int(supported[-1])
 
 
+def outcomes(dist: OutcomeDistribution, u: np.ndarray) -> np.ndarray:
+    """The outcome sample() returns for each uniform in u, in one pass."""
+    labels = np.searchsorted(np.cumsum(dist.probabilities), u, side="right")
+    labels[labels == dist.dim.d] = np.flatnonzero(dist.probabilities > 0.0)[-1]
+    return labels
+
+
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Independent, reproducible stream for one trial of a seeded experiment."""
     if trial < 0:
         raise ValueError("trial index must be non-negative")
     derived = (seed ^ ((trial * TRIAL_SEED_MIX) & _MASK64)) & _MASK64
     return np.random.default_rng(derived)
+
+
+# trial_uniforms replays default_rng(s).random() on arrays of derived seeds:
+# SeedSequence(s) hashes the two 32-bit words of s through a 4-word pool and
+# emits 4 uint64 words, PCG64 is seeded from them with the set-seq init, and
+# one XSL-RR output becomes a double. The constants are numpy's SeedSequence
+# hash constants and the PCG64 128-bit LCG multiplier (O'Neill 2014, PCG,
+# HMC-CS-2014-0905). Trials go through in blocks of TRIAL_BLOCK, which
+# bounds the temporaries whatever the trial count.
+TRIAL_BLOCK = 8192
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MULT_HI = np.uint64(_PCG64_MULT >> 64)
+_MULT_LO = np.uint64(_PCG64_MULT & _MASK64)
+_MULT_LO_LIMBS = (np.uint64(int(_MULT_LO) & 0xFFFFFFFF), np.uint64(int(_MULT_LO) >> 32))
+_LOW32 = np.uint64(0xFFFFFFFF)
+_U16, _U32 = np.uint32(16), np.uint64(32)
+
+
+def _hash_constants(h: int, mult: int, count: int) -> list:
+    """(h, h * mult) for each successive SeedSequence hash call, mod 2**32."""
+    pairs = []
+    for _ in range(count):
+        nxt = (h * mult) & 0xFFFFFFFF
+        pairs.append((np.uint32(h), np.uint32(nxt)))
+        h = nxt
+    return pairs
+
+
+# mix_entropy hashes the 4 pool words, then each word into each of the other
+# 3 (16 calls); generate_state(4, uint64) hashes 8 output words
+_POOL_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _hash(words: np.ndarray, constants) -> np.ndarray:
+    h, h_next = constants
+    words = (words ^ h) * h_next
+    return words ^ (words >> _U16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> _U16)
+
+
+def _seed_sequence_state(seeds: np.ndarray) -> list:
+    """SeedSequence(s).generate_state(4, uint64) for each uint64 seed s."""
+    # numpy gives a seed below 2**32 a single entropy word; the pool word it
+    # leaves empty is hashed as a 0, exactly like a zero high word here
+    entropy = [(seeds & _LOW32).astype(np.uint32), (seeds >> _U32).astype(np.uint32)]
+    zero = np.zeros_like(entropy[0])
+    pool = [_hash(w, c) for w, c in zip(entropy + [zero, zero], _POOL_HASH)]
+    calls = iter(_POOL_HASH[4:])
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], next(calls)))
+    words = [_hash(pool[i % 4], c).astype(np.uint64) for i, c in enumerate(_STATE_HASH)]
+    return [words[2 * i] | (words[2 * i + 1] << _U32) for i in range(4)]
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _pcg64_step(hi, lo, inc_hi, inc_lo):
+    """state * multiplier + inc, mod 2**128, on (high, low) uint64 halves."""
+    # high half of lo * _MULT_LO from 32-bit limbs; the other cross terms
+    # only reach the high half mod 2**64
+    m_lo, m_hi = _MULT_LO_LIMBS
+    lo_lo, lo_hi = lo & _LOW32, lo >> _U32
+    ll, lh, hl = lo_lo * m_lo, lo_lo * m_hi, lo_hi * m_lo
+    middle = (ll >> _U32) + (lh & _LOW32) + (hl & _LOW32)
+    carry_hi = lo_hi * m_hi + (lh >> _U32) + (hl >> _U32) + (middle >> _U32)
+    product_hi = carry_hi + hi * _MULT_LO + lo * _MULT_HI
+    return _add128(product_hi, lo * _MULT_LO, inc_hi, inc_lo)
+
+
+def _first_uniform(seeds: np.ndarray) -> np.ndarray:
+    """default_rng(s).random() for each uint64 seed s."""
+    v0, v1, v2, v3 = _seed_sequence_state(seeds)
+    # set-seq init: inc = (v2:v3) << 1 | 1; state = 0, step, += (v0:v1), step
+    inc_hi = (v2 << np.uint64(1)) | (v3 >> np.uint64(63))
+    inc_lo = (v3 << np.uint64(1)) | np.uint64(1)
+    hi, lo = _add128(inc_hi, inc_lo, v0, v1)
+    hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
+    # random(): one more step, XSL-RR output, top 53 bits as a double
+    hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
+    folded, rotation = hi ^ lo, hi >> np.uint64(58)
+    out = (folded >> rotation) | (folded << ((np.uint64(64) - rotation) & np.uint64(63)))
+    return (out >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def trial_uniforms(seed: int, trials: int) -> np.ndarray:
+    """trial_rng(seed, t).random() for t = 0..trials-1, bit for bit, in one pass."""
+    if not 0 <= seed < SEED_BOUND:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    out = np.empty(trials)
+    seed_word, mix_word = np.uint64(seed), np.uint64(TRIAL_SEED_MIX)
+    for start in range(0, trials, TRIAL_BLOCK):
+        t = np.arange(start, min(start + TRIAL_BLOCK, trials), dtype=np.uint64)
+        out[start:start + len(t)] = _first_uniform(seed_word ^ (t * mix_word))
+    return out

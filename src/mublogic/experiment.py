@@ -18,7 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .devices import born, prepare, sample, trial_rng
+import numpy as np
+
+from .devices import SEED_BOUND, born, outcomes, prepare, trial_uniforms
 from .logic import Decidability, Proposition, decide, outcome_multiplicities
 from .modmath import Dimension
 
@@ -61,6 +63,8 @@ class ExperimentConfig:
             raise ValueError(f"measurement index {self.m} out of range")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not 0 <= self.seed < SEED_BOUND:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -88,16 +92,18 @@ class UniformityResult:
 
 
 def run(config: ExperimentConfig) -> Tally:
-    """Prepare once, compute Born probabilities once, then sample per trial.
+    """Prepare once, compute Born probabilities once, then sample every trial.
 
     Each trial draws from its own derived stream, so the tally is
     independent of execution order and reproducible from (seed, trials).
+    All uniforms come from one vectorized pass (trial_uniforms) and map to
+    outcomes by the rule of sample(), so the counts equal the scalar loop
+    over sample(dist, trial_rng(seed, t)) exactly.
     """
     dist = born(prepare(config.axiom), config.m)
-    counts = [0] * config.dim.d
-    for trial in range(config.trials):
-        counts[sample(dist, trial_rng(config.seed, trial))] += 1
-    return Tally(tuple(counts), config)
+    labels = outcomes(dist, trial_uniforms(config.seed, config.trials))
+    counts = np.bincount(labels, minlength=config.dim.d)
+    return Tally(tuple(int(c) for c in counts), config)
 
 
 def chi_square_uniform(tally: Tally) -> UniformityResult:

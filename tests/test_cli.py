@@ -163,6 +163,51 @@ def test_usage_error_exit_code(capsys):
     assert main(["nope"]) == 1
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64), str(5 + 2**64), "five"])
+def test_run_seed_outside_64_bit_range_is_usage_error(capsys, seed):
+    code = main(["run", "--d", "3", "--axiom", "0,0", "--measure", "1",
+                 "--trials", "10", "--seed", seed, "--format", "machine"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "usage error: argument --seed" in captured.err
+
+
+def test_run_seed_range_bounds_are_accepted(capsys):
+    for seed in ("0", str(2**64 - 1)):
+        code, env = invoke_machine(capsys, "run", "--d", "3", "--axiom", "0,0",
+                                   "--measure", "1", "--trials", "10", "--seed", seed)
+        assert code == 0
+        assert env["parameters"]["seed"] == int(seed)
+
+
+@pytest.mark.parametrize("command", ["verify-mub", "cross-validate"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1", "tiny"])
+def test_tolerance_must_be_finite_and_positive(capsys, command, tol):
+    code = main([command, "--d", "3", "--tol", tol, "--format", "machine"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "usage error: argument --tol" in captured.err
+
+
+@pytest.mark.parametrize("command", ["verify-mub", "cross-validate"])
+def test_tiny_tolerance_is_a_validation_failure(capsys, command):
+    code, env = invoke_machine(capsys, command, "--d", "3", "--tol", "1e-20")
+    assert code == 2
+    assert env["status"] == "error"
+
+
+def test_run_skip_message_names_missing_critical_value(capsys):
+    argv = ("run", "--d", "37", "--axiom", "0,0", "--measure", "1",
+            "--trials", "1000", "--seed", "1")
+    _, out = invoke(capsys, *argv)
+    assert "no embedded chi-square critical value for df = 36" in out
+    assert "needs at least" not in out
+    _, env = invoke_machine(capsys, *argv)
+    assert env["payload"]["uniformity"] is None
+
+
 def test_envelopes_validate_against_schema(capsys):
     jsonschema = pytest.importorskip("jsonschema")
     schema = json.loads(ENVELOPE_SCHEMA.read_text())

@@ -1,19 +1,26 @@
 """Preparation/measurement devices: encoding, Born statistics, sampling."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mublogic.devices import (
+    TRIAL_BLOCK,
     OutcomeDistribution,
     born,
     encode_unitary,
+    outcomes,
     prepare,
     prepare_with,
     sample,
     trial_rng,
+    trial_uniforms,
 )
+from mublogic.experiment import ExperimentConfig, run
 from mublogic.logic import BinaryFunction, Proposition, group, outcome_multiplicities
 from mublogic.modmath import Dimension
 from mublogic.mub import basis_state
@@ -170,6 +177,24 @@ def test_sample_tie_breaks_to_smaller_label():
     assert sample(point, FixedUniform(0.0)) == 1
 
 
+@pytest.mark.parametrize(
+    "probabilities",
+    [[0.5, 0.0, 0.5], [0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [1 / 3] * 3,
+     # sums to just under 1: the top uniforms land past the last boundary
+     [0.5, 0.5 - 1e-13, 0.0]],
+)
+def test_outcomes_follow_sample_rule_at_boundaries(probabilities):
+    dist = OutcomeDistribution(np.array(probabilities), D3, 0)
+    cumulative = np.cumsum(dist.probabilities)
+    u = np.concatenate([
+        [0.0, 0.25, 0.5, 0.75, 0.9999999999, 1.0 - 2.0**-53],
+        cumulative, np.nextafter(cumulative, 0.0),
+    ])
+    u = u[u < 1.0]
+    expected = [sample(dist, FixedUniform(x)) for x in u]
+    assert outcomes(dist, u).tolist() == expected
+
+
 def test_sample_sequence_regression():
     dist = born(prepare(Proposition.of(0, 0, D3)), 1)
     seq = [sample(dist, trial_rng(123, t)) for t in range(20)]
@@ -203,3 +228,72 @@ def test_distribution_validation():
         OutcomeDistribution(np.array([1.5, -0.5, 0.0]), D3, 0)
     with pytest.raises(ValueError):
         OutcomeDistribution(np.array([0.5, 0.5]), D3, 0)
+
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+def scalar_uniforms(seed, trials):
+    return np.array([trial_rng(seed, t).random() for t in trials])
+
+
+def test_trial_uniforms_match_scalar_streams():
+    # 200 random 64-bit seeds x 50 trials: 10^4 (seed, t) pairs, then the edges
+    seeds = np.random.default_rng(2024).integers(0, 2**64, size=200, dtype=np.uint64)
+    for seed in [*map(int, seeds), *EDGE_SEEDS]:
+        assert np.array_equal(trial_uniforms(seed, 50), scalar_uniforms(seed, range(50)))
+
+
+def test_trial_uniforms_match_across_a_block_boundary():
+    trials = TRIAL_BLOCK + 5
+    around = range(TRIAL_BLOCK - 5, trials)
+    for seed in (7, 2**64 - 1):
+        u = trial_uniforms(seed, trials)
+        assert np.array_equal(u[around.start:], scalar_uniforms(seed, around))
+
+
+def test_trial_uniforms_seed_range_and_empty_run():
+    assert trial_uniforms(3, 0).shape == (0,)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError):
+            trial_uniforms(seed, 1)
+
+
+def scalar_counts(config):
+    dist = born(prepare(config.axiom), config.m)
+    counts = [0] * config.dim.d
+    for t in range(config.trials):
+        counts[sample(dist, trial_rng(config.seed, t))] += 1
+    return tuple(counts)
+
+
+@st.composite
+def experiment_configs(draw):
+    dim = Dimension(draw(st.sampled_from([2, 3, 5, 7, 11, 13])))
+    a = draw(st.integers(0, dim.d))
+    # half the cells are point masses (m = a), where zero-probability labels
+    # and the past-the-end fallback matter
+    m = a if draw(st.booleans()) else draw(st.integers(0, dim.d))
+    axiom = Proposition.of(a, draw(st.integers(0, dim.d - 1)), dim)
+    return ExperimentConfig(
+        dim, axiom, m, draw(st.integers(1, 500)), draw(st.integers(0, 2**64 - 1))
+    )
+
+
+@given(experiment_configs())
+def test_run_counts_equal_scalar_sample_loop(config):
+    assert run(config).counts == scalar_counts(config)
+
+
+def test_vectorized_run_at_least_20x_faster_than_scalar_loop():
+    config = ExperimentConfig(D3, Proposition.of(0, 0, D3), 1, 20_000, 11)
+    start = time.perf_counter()
+    expected = scalar_counts(config)
+    scalar_s = time.perf_counter() - start
+    vector_s = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        counts = run(config).counts
+        vector_s = min(vector_s, time.perf_counter() - start)
+    assert counts == expected
+    assert scalar_s >= 20 * vector_s, (scalar_s, vector_s)

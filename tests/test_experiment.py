@@ -30,6 +30,14 @@ def config(d, a, b, m, trials, seed):
     return ExperimentConfig(dim, Proposition.of(a, b, dim), m, trials, seed)
 
 
+def test_config_seed_must_lie_in_64_bit_range():
+    config(3, 0, 0, 1, 10, 0)
+    config(3, 0, 0, 1, 10, 2**64 - 1)
+    for seed in (-1, 2**64, 5 + 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            config(3, 0, 0, 1, 10, seed)
+
+
 def test_run_deterministic_at_matching_setting():
     tally = run(config(3, 0, 0, 0, 100, 42))
     assert tally.counts == (100, 0, 0)
