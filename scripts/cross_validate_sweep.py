@@ -9,7 +9,9 @@ group-counting multiplicities. Exits nonzero if any cell disagrees.
 import argparse
 import sys
 
-from mublogic import Dimension, cross_validate
+from mublogic.cli import disagreement_line, parse_tolerance
+from mublogic.experiment import cross_validate
+from mublogic.modmath import Dimension
 
 
 def main() -> int:
@@ -18,26 +20,26 @@ def main() -> int:
         "--dims", default="2,3,5,7",
         help="comma-separated prime dimensions (default: 2,3,5,7)",
     )
-    parser.add_argument("--tol", type=float, default=1e-9)
+    parser.add_argument("--tol", type=parse_tolerance, default=1e-9)
     args = parser.parse_args()
 
-    dims = [int(tok) for tok in args.dims.split(",") if tok.strip()]
+    try:
+        dims = [Dimension(int(tok)) for tok in args.dims.split(",") if tok.strip()]
+        reports = [cross_validate(dim, args.tol) for dim in dims]
+    except ValueError as exc:
+        parser.error(str(exc))
+
     failures = 0
     print(f"{'d':>3}  {'cells':>6}  {'disagree':>8}  {'max |born - counting/d|':>24}")
-    for d in dims:
-        report = cross_validate(Dimension(d), args.tol)
+    for report in reports:
         failures += report.disagreements
         print(
-            f"{d:>3}  {len(report.cells):>6}  {report.disagreements:>8}  "
+            f"{report.dim.d:>3}  {len(report.cells):>6}  {report.disagreements:>8}  "
             f"{report.max_born_vs_counting_deviation:>24.3e}"
         )
         for cell in report.cells:
             if not cell.agree:
-                print(
-                    f"     DISAGREE axiom {{{cell.axiom.a},{cell.axiom.b.value}}} "
-                    f"m={cell.m}: predicted {cell.predicted.kind}, "
-                    f"observed {cell.observed.kind}"
-                )
+                print(f"     {disagreement_line(cell)}")
     print("all cells agree" if failures == 0 else f"{failures} disagreements")
     return 0 if failures == 0 else 1
 

@@ -9,52 +9,55 @@ rejections at roughly the alpha = 0.001 rate across seeds.
 import argparse
 import sys
 
-from mublogic import (
+from mublogic.cli import parse_seed
+from mublogic.experiment import (
     ALPHA,
-    Dimension,
     ExperimentConfig,
-    Proposition,
     UniformityVerdict,
     chi_square_uniform,
     run,
 )
+from mublogic.logic import Proposition
+from mublogic.modmath import Dimension
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--d", type=int, default=3)
     parser.add_argument("--trials", type=int, default=10_000)
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--seed", type=parse_seed, default=42)
     args = parser.parse_args()
 
-    dim = Dimension(args.d)
-    d = dim.d
-    if args.trials < 5 * d:
-        parser.error(f"need at least {5 * d} trials for a chi-square verdict")
+    try:
+        dim = Dimension(args.d)
+        d = dim.d
+        results = []
+        for a in range(d + 1):
+            for b in range(d):
+                axiom = Proposition.of(a, b, dim)
+                for m in range(d + 1):
+                    config = ExperimentConfig(dim, axiom, m, args.trials, args.seed)
+                    results.append((a, b, m, chi_square_uniform(run(config))))
+    except ValueError as exc:  # includes ValidityError: no chi-square verdict
+        parser.error(str(exc))
 
     surprises = 0
     print(f"d={d}, trials={args.trials}, seed={args.seed}, alpha={ALPHA}")
     print(f"{'axiom':>7}  {'m':>2}  {'statistic':>12}  verdict")
-    for a in range(d + 1):
-        for b in range(d):
-            axiom = Proposition.of(a, b, dim)
-            for m in range(d + 1):
-                config = ExperimentConfig(dim, axiom, m, args.trials, args.seed)
-                result = chi_square_uniform(run(config))
-                uniform = result.verdict is UniformityVerdict.CONSISTENT_WITH_UNIFORM
-                expected_uniform = m != a
-                marker = ""
-                if uniform != expected_uniform:
-                    surprises += 1
-                    marker = "  <- unexpected"
-                print(
-                    f"{{{a},{b}}}".rjust(7)
-                    + f"  {m:>2}  {result.chi_square_statistic:>12.4g}  "
-                    + result.verdict.value
-                    + marker
-                )
-    total = (d + 1) * d * (d + 1)
-    print(f"{surprises} unexpected verdicts out of {total} cells")
+    for a, b, m, result in results:
+        uniform = result.verdict is UniformityVerdict.CONSISTENT_WITH_UNIFORM
+        expected_uniform = m != a
+        marker = ""
+        if uniform != expected_uniform:
+            surprises += 1
+            marker = "  <- unexpected"
+        print(
+            f"{{{a},{b}}}".rjust(7)
+            + f"  {m:>2}  {result.chi_square_statistic:>12.4g}  "
+            + result.verdict.value
+            + marker
+        )
+    print(f"{surprises} unexpected verdicts out of {len(results)} cells")
     # a handful of false rejections is expected over many cells and seeds
     return 0
 

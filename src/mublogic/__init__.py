@@ -6,131 +6,9 @@ state, measures in any of the d+1 mutually unbiased bases, and checks that
 brute-force decidability and Born statistics agree cell by cell: decidable
 propositions give deterministic outcomes, undecidable ones give exactly
 uniform statistics.
+
+Import from the submodules: modmath, logic, qlinalg, mub, devices,
+experiment and cli.
 """
 
-from .modmath import Dimension, DimensionMismatch, NotPrimeError, Residue, is_prime
-from .logic import (
-    BinaryFunction,
-    Decidability,
-    Proposition,
-    all_functions,
-    decide,
-    group,
-    holds,
-    intersect,
-    outcome_multiplicities,
-    partition_table,
-)
-from .qlinalg import (
-    Operator,
-    StateVector,
-    apply,
-    compose,
-    identity,
-    inner,
-    ket,
-    operator_distance,
-    operator_phase_distance,
-    pauli_x,
-    pauli_z,
-    phase_free_equal,
-    power,
-    root_of_unity,
-    scale,
-)
-from .mub import MubBasis, MubReport, basis_operator, basis_state, full_set, verify
-from .devices import (
-    TRIAL_SEED_MIX,
-    OutcomeDistribution,
-    born,
-    encode_unitary,
-    outcomes,
-    prepare,
-    prepare_with,
-    sample,
-    trial_rng,
-    trial_uniforms,
-)
-from .experiment import (
-    ALPHA,
-    CHI2_CRITICAL_001,
-    Behavior,
-    CrossCell,
-    CrossReport,
-    ExperimentConfig,
-    Tally,
-    UniformityResult,
-    UniformityVerdict,
-    ValidityError,
-    chi_square_uniform,
-    cross_validate,
-    observed_behavior,
-    predicted_behavior,
-    run,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ALPHA",
-    "Behavior",
-    "BinaryFunction",
-    "CHI2_CRITICAL_001",
-    "CrossCell",
-    "CrossReport",
-    "Decidability",
-    "Dimension",
-    "DimensionMismatch",
-    "ExperimentConfig",
-    "MubBasis",
-    "MubReport",
-    "NotPrimeError",
-    "Operator",
-    "OutcomeDistribution",
-    "Proposition",
-    "Residue",
-    "StateVector",
-    "Tally",
-    "TRIAL_SEED_MIX",
-    "UniformityResult",
-    "UniformityVerdict",
-    "ValidityError",
-    "all_functions",
-    "apply",
-    "basis_operator",
-    "basis_state",
-    "born",
-    "chi_square_uniform",
-    "compose",
-    "cross_validate",
-    "decide",
-    "encode_unitary",
-    "full_set",
-    "group",
-    "holds",
-    "identity",
-    "inner",
-    "intersect",
-    "is_prime",
-    "ket",
-    "observed_behavior",
-    "operator_distance",
-    "operator_phase_distance",
-    "outcome_multiplicities",
-    "outcomes",
-    "partition_table",
-    "pauli_x",
-    "pauli_z",
-    "phase_free_equal",
-    "power",
-    "predicted_behavior",
-    "prepare",
-    "prepare_with",
-    "root_of_unity",
-    "run",
-    "sample",
-    "scale",
-    "trial_rng",
-    "trial_uniforms",
-    "verify",
-]

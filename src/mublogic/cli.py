@@ -18,11 +18,10 @@ import sys
 
 from .experiment import (
     ALPHA,
-    CHI2_CRITICAL_001,
     Behavior,
+    CrossCell,
     CrossReport,
     ExperimentConfig,
-    Tally,
     UniformityResult,
     ValidityError,
     chi_square_uniform,
@@ -30,7 +29,7 @@ from .experiment import (
     run,
 )
 from .devices import SEED_BOUND, born, prepare
-from .logic import Proposition, decide, partition_table
+from .logic import Proposition, decide, partition_array
 from .modmath import Dimension, DimensionMismatch, NotPrimeError
 from .mub import MubReport, verify
 
@@ -90,6 +89,14 @@ def _mub_report_doc(d: int, report: MubReport) -> dict:
     }
 
 
+def disagreement_line(cell: CrossCell) -> str:
+    """One-line description of a cross-validation cell that does not agree."""
+    return (
+        f"DISAGREE axiom {{{cell.axiom.a},{cell.axiom.b.value}}} m={cell.m}: "
+        f"predicted {cell.predicted.kind}, observed {cell.observed.kind}"
+    )
+
+
 def _cross_report_doc(report: CrossReport) -> dict:
     return {
         "d": report.dim.d,
@@ -132,7 +139,7 @@ def render_table_text(dim: Dimension) -> str:
             f"text table rendering is defined for d <= {MAX_TEXT_TABLE_D}; "
             "use --format machine"
         )
-    table = partition_table(dim)
+    table = partition_array(dim)
     labels = [relation_label(a, d) for a in range(d + 1)]
     label_width = max(len(label) for label in labels)
     cell_width = 3 * d - 1
@@ -143,7 +150,7 @@ def render_table_text(dim: Dimension) -> str:
     lines.append((" " * prefix_width + header_cells).rstrip())
     for a in range(d + 1):
         cells = " | ".join(
-            " ".join(f"{f.f0.value}{f.f1.value}" for f in table[a][b])
+            " ".join(f"{f0}{f1}" for f0, f1 in table[a, b])
             for b in range(d)
         )
         lines.append(f"a={a}  {labels[a].ljust(label_width)} : {cells}")
@@ -177,7 +184,7 @@ def _pair(text: str) -> tuple[int, int]:
         ) from None
 
 
-def _seed(text: str) -> int:
+def parse_seed(text: str) -> int:
     try:
         seed = int(text)
     except ValueError:
@@ -189,7 +196,7 @@ def _seed(text: str) -> int:
     return seed
 
 
-def _tolerance(text: str) -> float:
+def parse_tolerance(text: str) -> float:
     try:
         tol = float(text)
     except ValueError:
@@ -219,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("table", "render the (d+1) x d partition table of function groups")
 
     sub = add("verify-mub", "verify the d+1 mutually unbiased bases numerically")
-    sub.add_argument("--tol", type=_tolerance, default=1e-10, help="pass tolerance")
+    sub.add_argument("--tol", type=parse_tolerance, default=1e-10, help="pass tolerance")
 
     sub = add("decide", "decide a theorem relative to an axiom by enumeration")
     sub.add_argument("--axiom", type=_pair, required=True, metavar="A,B")
@@ -233,11 +240,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--axiom", type=_pair, required=True, metavar="A,B")
     sub.add_argument("--measure", type=int, required=True, metavar="M")
     sub.add_argument("--trials", type=int, required=True)
-    sub.add_argument("--seed", type=_seed, required=True, help="in [0, 2**64)")
+    sub.add_argument("--seed", type=parse_seed, required=True, help="in [0, 2**64)")
 
     sub = add("cross-validate", "sweep all axiom/measurement cells for agreement")
     sub.add_argument(
-        "--tol", type=_tolerance, default=1e-9, help="classification tolerance"
+        "--tol", type=parse_tolerance, default=1e-9, help="classification tolerance"
     )
 
     return parser
@@ -262,13 +269,10 @@ def _parameters(args: argparse.Namespace) -> dict:
 
 def _cmd_table(args):
     dim = Dimension(args.d)
-    table = partition_table(dim)
     payload = {
         "d": dim.d,
         "labels": [relation_label(a, dim.d) for a in range(dim.d + 1)],
-        "cells": [
-            [[list(f.pair) for f in cell] for cell in row] for row in table
-        ],
+        "cells": partition_array(dim).tolist(),
     }
     text = render_table_text(dim) if args.format == "text" else ""
     return payload, None, text
@@ -336,12 +340,18 @@ def _cmd_run(args):
     axiom = Proposition.of(args.axiom[0], args.axiom[1], dim)
     config = ExperimentConfig(dim, axiom, args.measure, args.trials, args.seed)
     tally = run(config)
-    # the uniformity test has a validity floor; below it the tally is still
-    # reported, just without a verdict
-    df = dim.d - 1
-    uniformity = None
-    if args.trials >= 5 * dim.d and df in CHI2_CRITICAL_001:
+    # without a valid chi-square test the tally is still reported, just
+    # without a verdict
+    try:
         uniformity = chi_square_uniform(tally)
+        verdict_line = (
+            f"chi-square statistic {uniformity.chi_square_statistic:.6g} "
+            f"(df {uniformity.degrees_of_freedom}, critical "
+            f"{uniformity.critical_value:g} at alpha {ALPHA}): "
+            f"{uniformity.verdict.value}"
+        )
+    except ValidityError as exc:
+        uniformity, verdict_line = None, f"chi-square skipped: {exc}"
     payload = {
         "d": dim.d,
         "axiom": list(args.axiom),
@@ -356,21 +366,7 @@ def _cmd_run(args):
         f"d={dim.d}, trials={args.trials}, seed={args.seed}"
     ]
     lines += [f"  n={n}: {c}" for n, c in enumerate(tally.counts)]
-    if df not in CHI2_CRITICAL_001:
-        lines.append(
-            f"chi-square skipped: no embedded chi-square critical value for df = {df}"
-        )
-    elif uniformity is None:
-        lines.append(
-            f"chi-square skipped: needs at least {5 * dim.d} trials for a verdict"
-        )
-    else:
-        lines.append(
-            f"chi-square statistic {uniformity.chi_square_statistic:.6g} "
-            f"(df {uniformity.degrees_of_freedom}, critical "
-            f"{uniformity.critical_value:g} at alpha {ALPHA}): "
-            f"{uniformity.verdict.value}"
-        )
+    lines.append(verdict_line)
     return payload, None, "\n".join(lines) + "\n"
 
 
@@ -387,12 +383,7 @@ def _cmd_cross_validate(args):
         f"  disagreements           : {report.disagreements}",
         f"  max |born - counting/d| : {report.max_born_vs_counting_deviation:.3e}",
     ]
-    for cell in report.cells:
-        if not cell.agree:
-            lines.append(
-                f"  DISAGREE axiom {{{cell.axiom.a},{cell.axiom.b.value}}} m={cell.m}: "
-                f"predicted {cell.predicted.kind}, observed {cell.observed.kind}"
-            )
+    lines += [f"  {disagreement_line(cell)}" for cell in report.cells if not cell.agree]
     lines.append("PASS" if report.all_agree else "FAIL")
     return payload, failure, "\n".join(lines) + "\n"
 

@@ -21,8 +21,8 @@ import numpy as np
 
 from .logic import BinaryFunction, Proposition
 from .modmath import Dimension
-from .mub import basis_state
-from .qlinalg import Operator, StateVector, apply, compose, inner, pauli_x, pauli_z, power
+from .mub import basis_matrix, basis_state
+from .qlinalg import Operator, StateVector, apply, compose, pauli_x, pauli_z, power
 
 # Per-trial stream derivation: PCG64 seeded with seed XOR (trial * mix),
 # all mod 2**64. Multiplication by an odd constant is a bijection on 64-bit
@@ -98,12 +98,9 @@ def born(state: StateVector, m: int) -> OutcomeDistribution:
     d = dim.d
     if not 0 <= m <= d:
         raise ValueError(f"measurement index {m} out of range [0, {d}]")
-    raw = [abs(inner(basis_state(dim, m, j), state)) ** 2 for j in range(d)]
-    if m == d:
-        probs = raw
-    else:
-        probs = [raw[(-n) % d] for n in range(d)]
-    return OutcomeDistribution(np.asarray(probs), dim, m)
+    raw = np.abs(basis_matrix(dim, m).conj().T @ state.amplitudes) ** 2
+    probs = raw if m == d else raw[-np.arange(d) % d]
+    return OutcomeDistribution(probs, dim, m)
 
 
 def sample(dist: OutcomeDistribution, rng: np.random.Generator) -> int:

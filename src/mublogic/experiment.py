@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .devices import SEED_BOUND, born, outcomes, prepare, trial_uniforms
-from .logic import Decidability, Proposition, decide, outcome_multiplicities
+from .logic import Proposition, outcome_multiplicities
 from .modmath import Dimension
 
 ALPHA = 0.001
@@ -109,19 +109,17 @@ def run(config: ExperimentConfig) -> Tally:
 def chi_square_uniform(tally: Tally) -> UniformityResult:
     """Goodness-of-fit test of the tally against the uniform distribution.
 
-    Requires trials >= 5 d (the usual expected-count floor) and an embedded
-    critical value for d - 1 degrees of freedom; raises ValidityError
+    Requires an embedded critical value for d - 1 degrees of freedom and
+    trials >= 5 d (the usual expected-count floor); raises ValidityError
     otherwise instead of returning a verdict.
     """
     d = tally.config.dim.d
     trials = tally.config.trials
-    if trials < 5 * d:
-        raise ValidityError(
-            f"chi-square needs at least {5 * d} trials for d={d}, got {trials}"
-        )
     df = d - 1
     if df not in CHI2_CRITICAL_001:
-        raise ValidityError(f"no embedded critical value for df={df}")
+        raise ValidityError(f"no embedded chi-square critical value for df = {df}")
+    if trials < 5 * d:
+        raise ValidityError(f"needs at least {5 * d} trials for a verdict")
     expected = trials / d
     statistic = sum((c - expected) ** 2 / expected for c in tally.counts)
     critical = CHI2_CRITICAL_001[df]
@@ -164,19 +162,18 @@ def observed_behavior(probabilities, d: int, tol: float) -> Behavior:
 
 
 def predicted_behavior(axiom: Proposition, m: int) -> Behavior:
-    """Forecast the measurement statistics from decidability alone."""
+    """Forecast the measurement statistics from decidability alone.
+
+    Outcome n is provable when all d axiom-consistent functions satisfy
+    {m, n}, refutable when none does, and undecidable otherwise.
+    """
     d = axiom.dim.d
-    decisions = [
-        decide(axiom, Proposition.of(m, n, axiom.dim)) for n in range(d)
-    ]
-    true_outcomes = [n for n, v in enumerate(decisions) if v is Decidability.PROVABLY_TRUE]
-    if len(true_outcomes) == 1 and all(
-        v is Decidability.PROVABLY_FALSE
-        for n, v in enumerate(decisions)
-        if n != true_outcomes[0]
-    ):
-        return Behavior.deterministic(true_outcomes[0])
-    if all(v is Decidability.UNDECIDABLE for v in decisions):
+    counts = outcome_multiplicities(axiom, m)
+    provable = [n for n, c in counts.items() if c == d]
+    if provable:
+        # the counts sum to d, so every other outcome is refutable
+        return Behavior.deterministic(provable[0])
+    if all(counts.values()):
         return Behavior.uniform()
     return Behavior.mixed()
 

@@ -5,13 +5,17 @@ functions each. A group collects the functions satisfying one proposition:
 either a linear relation "f(1) = a f(0) + b" (partitions a = 0..d-1) or a
 value pin "f(0) = b" (partition a = d). Whether one proposition is provable
 from another is settled here by exhaustive enumeration, which also serves
-as the independent oracle for the quantum layer.
+as the independent oracle for the quantum layer. The enumeration runs on the
+int arrays of group_arrays(); BinaryFunction objects are built only where a
+public function returns them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .modmath import Dimension, DimensionMismatch, Residue
 
@@ -93,27 +97,38 @@ def holds(f: BinaryFunction, p: Proposition) -> bool:
     return f.f0.value == p.b.value
 
 
-def group(p: Proposition) -> tuple[BinaryFunction, ...]:
-    """The d functions satisfying p, in construction order.
+def group_arrays(a: int, b: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """f(0) and f(1) of the d functions in group {a, b}, in construction order.
 
     Linear rows vary f(0) ascending; the value-pin row varies f(1) ascending.
     """
-    d = p.dim.d
-    if p.a < d:
-        return tuple(
-            BinaryFunction.from_values(f0, (p.a * f0 + p.b.value) % d, p.dim)
-            for f0 in range(d)
-        )
+    k = np.arange(d)
+    if a < d:
+        return k, (a * k + b) % d
+    return np.full(d, b), k
+
+
+def group(p: Proposition) -> tuple[BinaryFunction, ...]:
+    """The d functions satisfying p, in construction order."""
+    f0, f1 = group_arrays(p.a, p.b.value, p.dim.d)
     return tuple(
-        BinaryFunction.from_values(p.b.value, f1, p.dim) for f1 in range(d)
+        BinaryFunction.from_values(x, y, p.dim) for x, y in zip(f0.tolist(), f1.tolist())
+    )
+
+
+def partition_array(dim: Dimension) -> np.ndarray:
+    """(d+1, d, d, 2) int array: group {a, b} at [a, b] as its (f(0), f(1)) pairs."""
+    d = dim.d
+    return np.array(
+        [[np.column_stack(group_arrays(a, b, d)) for b in range(d)] for a in range(d + 1)]
     )
 
 
 def partition_table(dim: Dimension) -> tuple[tuple[tuple[BinaryFunction, ...], ...], ...]:
     """(d+1) x d table of groups; rows indexed by a, columns by b."""
     return tuple(
-        tuple(group(Proposition.of(a, b, dim)) for b in range(dim.d))
-        for a in range(dim.d + 1)
+        tuple(tuple(BinaryFunction.from_values(x, y, dim) for x, y in cell) for cell in row)
+        for row in partition_array(dim).tolist()
     )
 
 
@@ -125,13 +140,24 @@ def intersect(p: Proposition, q: Proposition) -> tuple[BinaryFunction, ...]:
     return tuple(sorted(common, key=lambda f: f.pair))
 
 
+def _label_counts(axiom: Proposition, m: int) -> np.ndarray:
+    """Per outcome n, how many members of the axiom's group satisfy {m, n}."""
+    d = axiom.dim.d
+    f0, f1 = group_arrays(axiom.a, axiom.b.value, d)
+    # each function lies in exactly one group of partition m; this is its b
+    labels = (f1 - m * f0) % d if m < d else f0
+    return np.bincount(labels, minlength=d)
+
+
 def decide(axiom: Proposition, theorem: Proposition) -> Decidability:
     """Brute-force decidability of theorem relative to axiom.
 
     The theorem is provable iff it holds for every function consistent with
     the axiom, refutable iff it holds for none, and undecidable otherwise.
     """
-    satisfied = sum(1 for f in group(axiom) if holds(f, theorem))
+    if axiom.dim != theorem.dim:
+        raise DimensionMismatch("function and proposition moduli differ")
+    satisfied = _label_counts(axiom, theorem.a)[theorem.b.value]
     if satisfied == axiom.dim.d:
         return Decidability.PROVABLY_TRUE
     if satisfied == 0:
@@ -148,8 +174,4 @@ def outcome_multiplicities(axiom: Proposition, m: int) -> dict[int, int]:
     d = axiom.dim.d
     if not 0 <= m <= d:
         raise ValueError(f"measurement index {m} out of range [0, {d}]")
-    members = group(axiom)
-    return {
-        n: sum(1 for f in members if holds(f, Proposition.of(m, n, axiom.dim)))
-        for n in range(d)
-    }
+    return dict(enumerate(_label_counts(axiom, m).tolist()))

@@ -5,9 +5,11 @@ Bases a = 0..d-1 are eigenbases of X Z^a; basis a = d is the computational
 
     |j>_a = (1/sqrt(d)) sum_k eta^(-(j k + a s_k)) |k>,   s_k = k + ... + (d-1),
 
-with exponents reduced mod d. The labeling convention is fixed by the
-Z-shift property Z|j>_a = |j-1 mod d>_a (exact, no phase), which the
-encoding layer relies on.
+with exponents reduced mod d (Wootters & Fields 1989, Ann. Phys. 191, 363).
+The labeling convention is fixed by the Z-shift property
+Z|j>_a = |j-1 mod d>_a (exact, no phase), which the encoding layer relies
+on. basis_matrix() builds B_a, the d x d matrix with |j>_a as column j, in
+one step; every other function here reads the bases from it.
 
 d = 2 needs one special case: the integer-exponent formula cannot produce
 the X Z eigenbasis (that basis has imaginary components), so basis a = 1 is
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .modmath import Dimension
-from .qlinalg import Operator, StateVector, ket, pauli_x, pauli_z, power, root_of_unity
+from .qlinalg import Operator, StateVector, pauli_x, pauli_z, power, root_of_unity
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,10 +35,6 @@ class MubBasis:
 
     a: int
     states: tuple[StateVector, ...]
-
-    def matrix(self) -> np.ndarray:
-        """d x d array with the basis states as columns."""
-        return np.column_stack([s.amplitudes for s in self.states])
 
 
 @dataclass(frozen=True)
@@ -60,37 +58,36 @@ class MubReport:
         )
 
 
-def _shift_exponents(d: int) -> list[int]:
-    # s_k = k + (k+1) + ... + (d-1), reduced mod d
-    return [sum(range(k, d)) % d for k in range(d)]
+def basis_matrix(dim: Dimension, a: int) -> np.ndarray:
+    """B_a: the states |j>_a of basis a as columns; B_d is the identity."""
+    d = dim.d
+    if not 0 <= a <= d:
+        raise ValueError(f"basis index {a} out of range [0, {d}]")
+    if a == d:
+        return np.eye(d, dtype=np.complex128)
+    if d == 2 and a == 1:
+        # |j>_1 = Z^(-j) |0>_1 with |0>_1 = (|0> + i|1>)/sqrt(2)
+        half = 1.0 / math.sqrt(2.0)
+        return np.array([[half, half], [1j * half, -1j * half]])
+    k = np.arange(d)
+    s = (d - k) * (d + k - 1) // 2  # s_k = k + (k+1) + ... + (d-1)
+    exponents = -(np.outer(k, k) + a * s[:, None]) % d  # row k, column j
+    eta = np.array([root_of_unity(dim, e) for e in range(d)])
+    return (1.0 / math.sqrt(d)) * eta[exponents]
 
 
 def basis_state(dim: Dimension, a: int, j: int) -> StateVector:
     """State |j>_a of basis a; basis a = d is the computational basis."""
-    d = dim.d
-    if not 0 <= a <= d:
-        raise ValueError(f"basis index {a} out of range [0, {d}]")
-    if not 0 <= j < d:
-        raise ValueError(f"state label {j} out of range [0, {d})")
-    if a == d:
-        return ket(dim, j)
-    if d == 2 and a == 1:
-        # |j>_1 = Z^(-j) |0>_1 with |0>_1 = (|0> + i|1>)/sqrt(2)
-        half = 1.0 / math.sqrt(2.0)
-        sign = 1.0 if j == 0 else -1.0
-        return StateVector(np.array([half, sign * 1j * half]), dim)
-    s = _shift_exponents(d)
-    norm = 1.0 / math.sqrt(d)
-    amps = np.array(
-        [norm * root_of_unity(dim, -(j * k + a * s[k])) for k in range(d)]
-    )
-    return StateVector(amps, dim)
+    matrix = basis_matrix(dim, a)
+    if not 0 <= j < dim.d:
+        raise ValueError(f"state label {j} out of range [0, {dim.d})")
+    return StateVector(matrix[:, j], dim)
 
 
 def full_set(dim: Dimension) -> list[MubBasis]:
     """All d+1 bases, a = 0..d."""
     return [
-        MubBasis(a, tuple(basis_state(dim, a, j) for j in range(dim.d)))
+        MubBasis(a, tuple(StateVector(column, dim) for column in basis_matrix(dim, a).T))
         for a in range(dim.d + 1)
     ]
 
@@ -111,10 +108,8 @@ def verify(dim: Dimension, tol: float = 1e-10) -> MubReport:
     below tol.
     """
     d = dim.d
-    bases = full_set(dim)
-    matrices = [b.matrix() for b in bases]
+    matrices = [basis_matrix(dim, a) for a in range(d + 1)]
     eye = np.eye(d)
-    x = pauli_x(dim).entries
     z = pauli_z(dim).entries
 
     ortho = max(
@@ -126,7 +121,7 @@ def verify(dim: Dimension, tol: float = 1e-10) -> MubReport:
         for m in range(a + 1, d + 1)
     )
     eigen = max(
-        _eigen_residual(x @ np.linalg.matrix_power(z, a), matrices[a])
+        _eigen_residual(basis_operator(dim, a).entries, matrices[a])
         for a in range(d)
     )
     shift = max(

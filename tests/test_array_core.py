@@ -1,0 +1,120 @@
+"""The array-backed routes against the per-element references they replace.
+
+The quantum route builds each basis as one matrix B_a and measures with one
+product |B_m^dagger psi|^2; the logic route counts over the int arrays of a
+group. Each is compared here with the element-by-element computation it
+replaced, written out in full.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from mublogic.devices import born, prepare
+from mublogic.experiment import Behavior, predicted_behavior
+from mublogic.logic import (
+    Decidability,
+    Proposition,
+    decide,
+    group_arrays,
+    outcome_multiplicities,
+    partition_table,
+)
+from mublogic.modmath import Dimension
+from mublogic.mub import basis_matrix, basis_state
+from mublogic.qlinalg import inner, root_of_unity
+from test_logic import enumerate_group
+
+SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
+
+
+def reference_amplitudes(dim: Dimension, a: int, j: int) -> np.ndarray:
+    """|j>_a amplitude by amplitude, as basis_state computed it before B_a."""
+    d = dim.d
+    if a == d:
+        amps = np.zeros(d, dtype=np.complex128)
+        amps[j] = 1.0
+        return amps
+    if d == 2 and a == 1:
+        half = 1.0 / math.sqrt(2.0)
+        sign = 1.0 if j == 0 else -1.0
+        return np.array([half, sign * 1j * half], dtype=np.complex128)
+    s = [sum(range(k, d)) % d for k in range(d)]
+    norm = 1.0 / math.sqrt(d)
+    return np.array(
+        [norm * root_of_unity(dim, -(j * k + a * s[k])) for k in range(d)],
+        dtype=np.complex128,
+    )
+
+
+@pytest.mark.parametrize("d", SMALL_PRIMES + [97])
+def test_basis_matrix_equals_per_amplitude_formula_bit_for_bit(d):
+    dim = Dimension(d)
+    for a in range(d + 1):
+        matrix = basis_matrix(dim, a)
+        expected = np.column_stack([reference_amplitudes(dim, a, j) for j in range(d)])
+        assert matrix.dtype == np.complex128 and matrix.shape == (d, d)
+        assert np.array_equal(matrix.view(np.float64), expected.view(np.float64)), a
+
+
+def test_basis_matrix_rejects_bad_index():
+    with pytest.raises(ValueError):
+        basis_matrix(Dimension(3), 4)
+    with pytest.raises(ValueError):
+        basis_matrix(Dimension(3), -1)
+
+
+@pytest.mark.parametrize("d", SMALL_PRIMES)
+def test_born_matches_per_state_inner_products(d):
+    dim = Dimension(d)
+    states = [[basis_state(dim, m, j) for j in range(d)] for m in range(d + 1)]
+    for a in range(d + 1):
+        for b in range(d):
+            psi = prepare(Proposition.of(a, b, dim))
+            for m in range(d + 1):
+                raw = [abs(inner(states[m][j], psi)) ** 2 for j in range(d)]
+                # outcome n reads state j = -n mod d, except in the Z basis
+                expected = raw if m == d else [raw[-n % d] for n in range(d)]
+                got = born(psi, m).probabilities
+                assert np.max(np.abs(got - expected)) <= 1e-15, (a, b, m)
+
+
+def oracle_decide(axiom_group: set, theorem_group: set, d: int) -> Decidability:
+    common = len(axiom_group & theorem_group)
+    if common == d:
+        return Decidability.PROVABLY_TRUE
+    if common == 0:
+        return Decidability.PROVABLY_FALSE
+    return Decidability.UNDECIDABLE
+
+
+@pytest.mark.parametrize("d", SMALL_PRIMES)
+def test_logic_route_matches_filter_oracle(d):
+    dim = Dimension(d)
+    props = {(a, b): Proposition.of(a, b, dim) for a in range(d + 1) for b in range(d)}
+    groups = {key: enumerate_group(p) for key, p in props.items()}
+    table = partition_table(dim)
+    for (a, b), axiom in props.items():
+        cell = [f.pair for f in table[a][b]]
+        assert set(cell) == groups[a, b]
+        f0, f1 = group_arrays(a, b, d)
+        assert list(zip(f0.tolist(), f1.tolist())) == cell
+        for m in range(d + 1):
+            counts = outcome_multiplicities(axiom, m)
+            assert counts == {n: len(groups[a, b] & groups[m, n]) for n in range(d)}
+            verdicts = []
+            for n in range(d):
+                verdict = decide(axiom, props[m, n])
+                assert verdict is oracle_decide(groups[a, b], groups[m, n], d), (a, b, m, n)
+                verdicts.append(verdict)
+            # the trichotomy predicted_behavior read from d decide calls before
+            if verdicts.count(Decidability.PROVABLY_TRUE) == 1 and verdicts.count(
+                Decidability.PROVABLY_FALSE
+            ) == d - 1:
+                expected = Behavior.deterministic(verdicts.index(Decidability.PROVABLY_TRUE))
+            elif verdicts.count(Decidability.UNDECIDABLE) == d:
+                expected = Behavior.uniform()
+            else:
+                expected = Behavior.mixed()
+            assert predicted_behavior(axiom, m) == expected

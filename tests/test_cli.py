@@ -253,3 +253,24 @@ def test_module_invocation_smoke():
     )
     assert proc.returncode == 0
     assert proc.stdout == GOLDEN_TABLE_D3.read_text()
+
+
+def one_disagreeing_report(dim, tol=1e-9):
+    """A cross-validation report whose only cell disagrees."""
+    from mublogic.experiment import Behavior, CrossCell, CrossReport
+    from mublogic.logic import Proposition
+
+    cell = CrossCell(Proposition.of(1, 2, dim), 0, Behavior.uniform(), Behavior.mixed(), False, 0.0)
+    return CrossReport(dim, tol, (cell,))
+
+
+def test_cross_validate_text_names_each_disagreeing_cell(capsys, monkeypatch):
+    import mublogic.cli
+
+    monkeypatch.setattr(mublogic.cli, "cross_validate", one_disagreeing_report)
+    code, out = invoke(capsys, "cross-validate", "--d", "3")
+    assert code == 2
+    assert out.splitlines()[-2:] == [
+        "  DISAGREE axiom {1,2} m=0: predicted uniform, observed mixed",
+        "FAIL",
+    ]

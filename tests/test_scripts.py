@@ -1,10 +1,13 @@
 """The runnable sweep scripts, end to end as subprocesses."""
 
+import importlib.util
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -26,3 +29,56 @@ def test_uniformity_sweep_d3_default_trials():
     point_masses = [cell for cell in cells if cell[0] == cell[2]]
     assert len(point_masses) == 12
     assert all(cell[3] == "RejectUniform" for cell in point_masses)
+
+
+def run_script(name, *argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(REPO / "scripts" / name), *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def test_cross_validate_sweep_small_primes_agree():
+    proc = run_script("cross_validate_sweep.py", "--dims", "2,3,5,7")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "all cells agree"
+    assert [line.split()[:3] for line in proc.stdout.splitlines()[1:5]] == [
+        ["2", "18", "0"], ["3", "48", "0"], ["5", "180", "0"], ["7", "448", "0"],
+    ]
+
+
+@pytest.mark.parametrize("script, argv, reason", [
+    ("uniformity_sweep.py", ["--seed", "-1"], "argument --seed: seed must lie in [0, 2**64)"),
+    ("uniformity_sweep.py", ["--seed", str(2**64)], "argument --seed: seed must lie in [0, 2**64)"),
+    ("uniformity_sweep.py", ["--d", "4"], "d must be prime"),
+    ("uniformity_sweep.py", ["--d", "37"], "no embedded chi-square critical value for df = 36"),
+    ("uniformity_sweep.py", ["--trials", "10"], "needs at least 15 trials for a verdict"),
+    ("cross_validate_sweep.py", ["--dims", "4"], "d must be prime"),
+    ("cross_validate_sweep.py", ["--dims", "37"], "cross-validation is a desk-scale sweep; d <= 31 required"),
+    ("cross_validate_sweep.py", ["--tol", "nan"], "argument --tol: tolerance must be finite and > 0"),
+])
+def test_scripts_reject_invalid_input_without_traceback(script, argv, reason):
+    proc = run_script(script, *argv)
+    assert proc.returncode != 0
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert f"{script}: error: {reason}" in proc.stderr
+
+
+def test_cross_validate_sweep_lists_disagreeing_cells(capsys, monkeypatch):
+    from test_cli import one_disagreeing_report
+
+    spec = importlib.util.spec_from_file_location(
+        "cross_validate_sweep", REPO / "scripts" / "cross_validate_sweep.py"
+    )
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    monkeypatch.setattr(sweep, "cross_validate", one_disagreeing_report)
+    monkeypatch.setattr(sys, "argv", ["cross_validate_sweep.py", "--dims", "3"])
+    assert sweep.main() == 1
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "     DISAGREE axiom {1,2} m=0: predicted uniform, observed mixed",
+        "1 disagreements",
+    ]
