@@ -92,7 +92,7 @@ def _mub_report_doc(d: int, report: MubReport) -> dict:
 def disagreement_line(cell: CrossCell) -> str:
     """One-line description of a cross-validation cell that does not agree."""
     return (
-        f"DISAGREE axiom {{{cell.axiom.a},{cell.axiom.b.value}}} m={cell.m}: "
+        f"DISAGREE axiom {{{cell.axiom.a},{cell.axiom.b}}} m={cell.m}: "
         f"predicted {cell.predicted.kind}, observed {cell.observed.kind}"
     )
 
@@ -103,7 +103,7 @@ def _cross_report_doc(report: CrossReport) -> dict:
         "tol": float(report.tol),
         "cells": [
             {
-                "axiom": [cell.axiom.a, cell.axiom.b.value],
+                "axiom": [cell.axiom.a, cell.axiom.b],
                 "measure": cell.m,
                 "predicted": _behavior_doc(cell.predicted),
                 "observed": _behavior_doc(cell.observed),
@@ -309,8 +309,8 @@ def _cmd_decide(args):
         "decidability": verdict.value,
     }
     text = (
-        f"axiom {{{axiom.a},{axiom.b.value}}}, theorem "
-        f"{{{theorem.a},{theorem.b.value}}}, d={dim.d}: {verdict.value}\n"
+        f"axiom {{{axiom.a},{axiom.b}}}, theorem "
+        f"{{{theorem.a},{theorem.b}}}, d={dim.d}: {verdict.value}\n"
     )
     return payload, None, text
 
@@ -326,7 +326,7 @@ def _cmd_probs(args):
         "probabilities": [float(p) for p in dist.probabilities],
     }
     lines = [
-        f"Born probabilities for axiom {{{axiom.a},{axiom.b.value}}}, "
+        f"Born probabilities for axiom {{{axiom.a},{axiom.b}}}, "
         f"measurement m={args.measure}, d={dim.d}"
     ]
     lines += [
@@ -362,7 +362,7 @@ def _cmd_run(args):
         "uniformity": None if uniformity is None else _uniformity_doc(uniformity),
     }
     lines = [
-        f"counts for axiom {{{axiom.a},{axiom.b.value}}}, m={args.measure}, "
+        f"counts for axiom {{{axiom.a},{axiom.b}}}, m={args.measure}, "
         f"d={dim.d}, trials={args.trials}, seed={args.seed}"
     ]
     lines += [f"  n={n}: {c}" for n, c in enumerate(tally.counts)]

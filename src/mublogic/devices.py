@@ -15,6 +15,7 @@ encoding {a, b} report n = b with certainty when measured at m = a.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +64,7 @@ class OutcomeDistribution:
 def encode_unitary(f: BinaryFunction) -> Operator:
     """U = X^f(0) Z^f(1); the Z power acts first on the ket."""
     dim = f.dim
-    return compose(power(pauli_x(dim), f.f0.value), power(pauli_z(dim), f.f1.value))
+    return compose(power(pauli_x(dim), f.f0), power(pauli_z(dim), f.f1))
 
 
 def prepare(axiom: Proposition) -> StateVector:
@@ -74,9 +75,9 @@ def prepare(axiom: Proposition) -> StateVector:
     """
     dim = axiom.dim
     if axiom.a < dim.d:
-        canonical = BinaryFunction.from_values(0, axiom.b.value, dim)
+        canonical = BinaryFunction.from_values(0, axiom.b, dim)
     else:
-        canonical = BinaryFunction.from_values(axiom.b.value, 0, dim)
+        canonical = BinaryFunction.from_values(axiom.b, 0, dim)
     return apply(encode_unitary(canonical), basis_state(dim, axiom.a, 0))
 
 
@@ -92,15 +93,28 @@ def prepare_with(f: BinaryFunction, a: int) -> StateVector:
     return apply(encode_unitary(f), basis_state(dim, a, 0))
 
 
-def born(state: StateVector, m: int) -> OutcomeDistribution:
-    """Born probabilities of measuring `state` in basis m, over labels n."""
-    dim = state.dim
+def measurement(dim: Dimension, m: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Measurement in basis m: amplitudes -> Born probabilities over labels n.
+
+    The probabilities |B_m^dagger psi|^2 are clipped to [0, 1], so rounding
+    never reports a probability above 1, and put in outcome-label order.
+    Build it once per basis to measure many states.
+    """
     d = dim.d
     if not 0 <= m <= d:
         raise ValueError(f"measurement index {m} out of range [0, {d}]")
-    raw = np.abs(basis_matrix(dim, m).conj().T @ state.amplitudes) ** 2
-    probs = raw if m == d else raw[-np.arange(d) % d]
-    return OutcomeDistribution(probs, dim, m)
+    adjoint = basis_matrix(dim, m).conj().T
+    labels = np.arange(d) if m == d else -np.arange(d) % d
+
+    def probabilities(amplitudes: np.ndarray) -> np.ndarray:
+        return np.clip(np.abs(adjoint @ amplitudes) ** 2, 0.0, 1.0)[labels]
+
+    return probabilities
+
+
+def born(state: StateVector, m: int) -> OutcomeDistribution:
+    """Born probabilities of measuring `state` in basis m, over labels n."""
+    return OutcomeDistribution(measurement(state.dim, m)(state.amplitudes), state.dim, m)
 
 
 def sample(dist: OutcomeDistribution, rng: np.random.Generator) -> int:

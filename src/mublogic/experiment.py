@@ -20,8 +20,8 @@ from enum import Enum
 
 import numpy as np
 
-from .devices import SEED_BOUND, born, outcomes, prepare, trial_uniforms
-from .logic import Proposition, outcome_multiplicities
+from .devices import SEED_BOUND, born, measurement, outcomes, prepare, trial_uniforms
+from .logic import Proposition, label_counts
 from .modmath import Dimension
 
 ALPHA = 0.001
@@ -167,13 +167,16 @@ def predicted_behavior(axiom: Proposition, m: int) -> Behavior:
     Outcome n is provable when all d axiom-consistent functions satisfy
     {m, n}, refutable when none does, and undecidable otherwise.
     """
-    d = axiom.dim.d
-    counts = outcome_multiplicities(axiom, m)
-    provable = [n for n, c in counts.items() if c == d]
-    if provable:
+    return _forecast(label_counts(axiom, m), axiom.dim.d)
+
+
+def _forecast(counts: np.ndarray, d: int) -> Behavior:
+    """The behavior implied by the per-outcome counts of axiom-consistent functions."""
+    provable = np.flatnonzero(counts == d)
+    if provable.size:
         # the counts sum to d, so every other outcome is refutable
-        return Behavior.deterministic(provable[0])
-    if all(counts.values()):
+        return Behavior.deterministic(int(provable[0]))
+    if counts.all():
         return Behavior.uniform()
     return Behavior.mixed()
 
@@ -219,20 +222,18 @@ def cross_validate(dim: Dimension, tol: float = 1e-9) -> CrossReport:
     d = dim.d
     if d > 31:
         raise ValueError("cross-validation is a desk-scale sweep; d <= 31 required")
+    measure = [measurement(dim, m) for m in range(d + 1)]
     cells = []
     for a in range(d + 1):
         for b in range(d):
             axiom = Proposition.of(a, b, dim)
-            state = prepare(axiom)
+            amplitudes = prepare(axiom).amplitudes
             for m in range(d + 1):
-                dist = born(state, m)
-                observed = observed_behavior(dist.probabilities, d, tol)
-                predicted = predicted_behavior(axiom, m)
-                multiplicities = outcome_multiplicities(axiom, m)
-                deviation = max(
-                    abs(dist.probabilities[n] - multiplicities[n] / d)
-                    for n in range(d)
-                )
+                probabilities = measure[m](amplitudes)
+                counts = label_counts(axiom, m)
+                observed = observed_behavior(probabilities, d, tol)
+                predicted = _forecast(counts, d)
+                deviation = np.max(np.abs(probabilities - counts / d))
                 if m == a:
                     expected = Behavior.deterministic(b)
                 else:

@@ -5,9 +5,10 @@ functions each. A group collects the functions satisfying one proposition:
 either a linear relation "f(1) = a f(0) + b" (partitions a = 0..d-1) or a
 value pin "f(0) = b" (partition a = d). Whether one proposition is provable
 from another is settled here by exhaustive enumeration, which also serves
-as the independent oracle for the quantum layer. The enumeration runs on the
-int arrays of group_arrays(); BinaryFunction objects are built only where a
-public function returns them.
+as the independent oracle for the quantum layer. Values in Z_d are plain
+ints, type- and range-checked once where a Proposition or BinaryFunction is
+built. The enumeration runs on the int arrays of group_arrays();
+BinaryFunction objects are built only where a public function returns them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .modmath import Dimension, DimensionMismatch, Residue
+from .modmath import Dimension, DimensionMismatch
 
 
 class Decidability(Enum):
@@ -26,28 +27,33 @@ class Decidability(Enum):
     UNDECIDABLE = "Undecidable"
 
 
+def _check_residue(value, dim: Dimension) -> None:
+    """Accept only an int in [0, d)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"residue value must be an int, got {value!r}")
+    if not 0 <= value < dim.d:
+        raise ValueError(f"residue {value} out of range for d={dim.d}")
+
+
 @dataclass(frozen=True)
 class BinaryFunction:
     """A function {0,1} -> Z_d stored as the value pair (f(0), f(1))."""
 
-    f0: Residue
-    f1: Residue
+    f0: int
+    f1: int
+    dim: Dimension
 
     def __post_init__(self) -> None:
-        if self.f0.dim != self.f1.dim:
-            raise DimensionMismatch("f(0) and f(1) must share one modulus")
+        _check_residue(self.f0, self.dim)
+        _check_residue(self.f1, self.dim)
 
     @classmethod
     def from_values(cls, f0: int, f1: int, dim: Dimension) -> "BinaryFunction":
-        return cls(Residue(f0, dim), Residue(f1, dim))
-
-    @property
-    def dim(self) -> Dimension:
-        return self.f0.dim
+        return cls(f0, f1, dim)
 
     @property
     def pair(self) -> tuple[int, int]:
-        return (self.f0.value, self.f1.value)
+        return (self.f0, self.f1)
 
 
 @dataclass(frozen=True)
@@ -59,23 +65,21 @@ class Proposition:
     """
 
     a: int
-    b: Residue
+    b: int
+    dim: Dimension
 
     def __post_init__(self) -> None:
+        _check_residue(self.b, self.dim)
         if not isinstance(self.a, int) or isinstance(self.a, bool):
             raise TypeError(f"partition index must be an int, got {self.a!r}")
-        if not 0 <= self.a <= self.b.dim.d:
+        if not 0 <= self.a <= self.dim.d:
             raise ValueError(
-                f"partition index {self.a} out of range [0, {self.b.dim.d}]"
+                f"partition index {self.a} out of range [0, {self.dim.d}]"
             )
 
     @classmethod
     def of(cls, a: int, b: int, dim: Dimension) -> "Proposition":
-        return cls(a, Residue(b, dim))
-
-    @property
-    def dim(self) -> Dimension:
-        return self.b.dim
+        return cls(a, b, dim)
 
 
 def all_functions(dim: Dimension) -> tuple[BinaryFunction, ...]:
@@ -93,8 +97,8 @@ def holds(f: BinaryFunction, p: Proposition) -> bool:
         raise DimensionMismatch("function and proposition moduli differ")
     d = p.dim.d
     if p.a < d:
-        return f.f1.value == (p.a * f.f0.value + p.b.value) % d
-    return f.f0.value == p.b.value
+        return f.f1 == (p.a * f.f0 + p.b) % d
+    return f.f0 == p.b
 
 
 def group_arrays(a: int, b: int, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -110,7 +114,7 @@ def group_arrays(a: int, b: int, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 def group(p: Proposition) -> tuple[BinaryFunction, ...]:
     """The d functions satisfying p, in construction order."""
-    f0, f1 = group_arrays(p.a, p.b.value, p.dim.d)
+    f0, f1 = group_arrays(p.a, p.b, p.dim.d)
     return tuple(
         BinaryFunction.from_values(x, y, p.dim) for x, y in zip(f0.tolist(), f1.tolist())
     )
@@ -140,10 +144,12 @@ def intersect(p: Proposition, q: Proposition) -> tuple[BinaryFunction, ...]:
     return tuple(sorted(common, key=lambda f: f.pair))
 
 
-def _label_counts(axiom: Proposition, m: int) -> np.ndarray:
+def label_counts(axiom: Proposition, m: int) -> np.ndarray:
     """Per outcome n, how many members of the axiom's group satisfy {m, n}."""
     d = axiom.dim.d
-    f0, f1 = group_arrays(axiom.a, axiom.b.value, d)
+    if not 0 <= m <= d:
+        raise ValueError(f"measurement index {m} out of range [0, {d}]")
+    f0, f1 = group_arrays(axiom.a, axiom.b, d)
     # each function lies in exactly one group of partition m; this is its b
     labels = (f1 - m * f0) % d if m < d else f0
     return np.bincount(labels, minlength=d)
@@ -157,7 +163,7 @@ def decide(axiom: Proposition, theorem: Proposition) -> Decidability:
     """
     if axiom.dim != theorem.dim:
         raise DimensionMismatch("function and proposition moduli differ")
-    satisfied = _label_counts(axiom, theorem.a)[theorem.b.value]
+    satisfied = label_counts(axiom, theorem.a)[theorem.b]
     if satisfied == axiom.dim.d:
         return Decidability.PROVABLY_TRUE
     if satisfied == 0:
@@ -171,7 +177,4 @@ def outcome_multiplicities(axiom: Proposition, m: int) -> dict[int, int]:
     Counts always sum to d: each function lies in exactly one group of
     partition m.
     """
-    d = axiom.dim.d
-    if not 0 <= m <= d:
-        raise ValueError(f"measurement index {m} out of range [0, {d}]")
-    return dict(enumerate(_label_counts(axiom, m).tolist()))
+    return dict(enumerate(label_counts(axiom, m).tolist()))

@@ -1,8 +1,9 @@
-"""Exact arithmetic over the prime residue ring Z_d.
+"""The prime dimension d shared by the logic and the quantum layer.
 
-Every residue is bound to its modulus; combining values from different
-moduli raises instead of coercing, so index bugs between the logic layer
-and the quantum layer fail loudly.
+Values in Z_d are plain ints, range-checked where they enter a Proposition
+or BinaryFunction. Objects bound to different dimensions raise
+DimensionMismatch when combined, so index bugs between the logic layer and
+the quantum layer fail loudly.
 """
 
 from __future__ import annotations
@@ -45,52 +46,3 @@ class Dimension:
             raise TypeError(f"dimension must be an int, got {self.d!r}")
         if self.d < 2 or not is_prime(self.d):
             raise NotPrimeError(f"d must be prime and >= 2, got {self.d}")
-
-    def residue(self, value: int) -> "Residue":
-        """Reduce an arbitrary integer into this ring."""
-        return Residue(value % self.d, self)
-
-    def residues(self) -> tuple["Residue", ...]:
-        return tuple(Residue(v, self) for v in range(self.d))
-
-
-@dataclass(frozen=True)
-class Residue:
-    """An element of Z_d, carrying its Dimension."""
-
-    value: int
-    dim: Dimension
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, int) or isinstance(self.value, bool):
-            raise TypeError(f"residue value must be an int, got {self.value!r}")
-        if not 0 <= self.value < self.dim.d:
-            raise ValueError(
-                f"residue {self.value} out of range for d={self.dim.d}"
-            )
-
-    def _same_ring(self, other: "Residue") -> None:
-        if not isinstance(other, Residue):
-            raise TypeError(f"expected a Residue, got {other!r}")
-        if other.dim != self.dim:
-            raise DimensionMismatch(
-                f"cannot combine residues mod {self.dim.d} and mod {other.dim.d}"
-            )
-
-    def __add__(self, other: "Residue") -> "Residue":
-        self._same_ring(other)
-        return Residue((self.value + other.value) % self.dim.d, self.dim)
-
-    def __sub__(self, other: "Residue") -> "Residue":
-        self._same_ring(other)
-        return Residue((self.value - other.value) % self.dim.d, self.dim)
-
-    def __mul__(self, other: "Residue") -> "Residue":
-        self._same_ring(other)
-        return Residue((self.value * other.value) % self.dim.d, self.dim)
-
-    def __neg__(self) -> "Residue":
-        return Residue((-self.value) % self.dim.d, self.dim)
-
-    def __int__(self) -> int:
-        return self.value

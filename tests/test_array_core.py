@@ -3,7 +3,9 @@
 The quantum route builds each basis as one matrix B_a and measures with one
 product |B_m^dagger psi|^2; the logic route counts over the int arrays of a
 group. Each is compared here with the element-by-element computation it
-replaced, written out in full.
+replaced, written out in full. cross_validate, which measures with one
+B_m per basis and counts each cell once, is compared with the per-cell
+path through the public functions.
 """
 
 import math
@@ -12,7 +14,13 @@ import numpy as np
 import pytest
 
 from mublogic.devices import born, prepare
-from mublogic.experiment import Behavior, predicted_behavior
+from mublogic.experiment import (
+    Behavior,
+    CrossCell,
+    cross_validate,
+    observed_behavior,
+    predicted_behavior,
+)
 from mublogic.logic import (
     Decidability,
     Proposition,
@@ -118,3 +126,28 @@ def test_logic_route_matches_filter_oracle(d):
             else:
                 expected = Behavior.mixed()
             assert predicted_behavior(axiom, m) == expected
+
+
+@pytest.mark.parametrize("d", SMALL_PRIMES)
+@pytest.mark.parametrize("tol", [1e-9, 1e-20])
+def test_cross_validate_cells_equal_per_cell_reference(d, tol):
+    dim = Dimension(d)
+    cells = iter(cross_validate(dim, tol).cells)
+    for a in range(d + 1):
+        for b in range(d):
+            axiom = Proposition.of(a, b, dim)
+            psi = prepare(axiom)
+            for m in range(d + 1):
+                probabilities = born(psi, m).probabilities
+                observed = observed_behavior(probabilities, d, tol)
+                predicted = predicted_behavior(axiom, m)
+                multiplicities = outcome_multiplicities(axiom, m)
+                deviation = max(
+                    abs(probabilities[n] - multiplicities[n] / d) for n in range(d)
+                )
+                expected = Behavior.deterministic(b) if m == a else Behavior.uniform()
+                agree = observed == predicted == expected
+                cell = next(cells)
+                assert cell == CrossCell(axiom, m, predicted, observed, agree, deviation)
+                assert cell.born_vs_counting_deviation.hex() == float(deviation).hex()
+    assert next(cells, None) is None

@@ -163,6 +163,38 @@ def test_usage_error_exit_code(capsys):
     assert main(["nope"]) == 1
 
 
+# b and n must lie in [0, d); b is checked before a, so {9,9} names residue 9
+OUT_OF_RANGE_ENVELOPES = [
+    (
+        ("decide", "--d", "3", "--axiom", "0,5", "--theorem", "1,1"),
+        '{"schema_version": "1.0.0", "command": "decide", "parameters": {"d": 3, "axiom": [0, 5], "theorem": [1, 1]}, "status": "error", "payload": null, "error_message": "residue 5 out of range for d=3"}',
+    ),
+    (
+        ("decide", "--d", "3", "--axiom", "0,1", "--theorem", "1,-1"),
+        '{"schema_version": "1.0.0", "command": "decide", "parameters": {"d": 3, "axiom": [0, 1], "theorem": [1, -1]}, "status": "error", "payload": null, "error_message": "residue -1 out of range for d=3"}',
+    ),
+    (
+        ("decide", "--d", "3", "--axiom", "9,9", "--theorem", "1,1"),
+        '{"schema_version": "1.0.0", "command": "decide", "parameters": {"d": 3, "axiom": [9, 9], "theorem": [1, 1]}, "status": "error", "payload": null, "error_message": "residue 9 out of range for d=3"}',
+    ),
+    (
+        ("probs", "--d", "5", "--axiom", "2,7", "--measure", "1"),
+        '{"schema_version": "1.0.0", "command": "probs", "parameters": {"d": 5, "axiom": [2, 7], "measure": 1}, "status": "error", "payload": null, "error_message": "residue 7 out of range for d=5"}',
+    ),
+    (
+        ("run", "--d", "3", "--axiom", "0,3", "--measure", "1", "--trials", "10", "--seed", "1"),
+        '{"schema_version": "1.0.0", "command": "run", "parameters": {"d": 3, "axiom": [0, 3], "measure": 1, "trials": 10, "seed": 1}, "status": "error", "payload": null, "error_message": "residue 3 out of range for d=3"}',
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, envelope", OUT_OF_RANGE_ENVELOPES)
+def test_out_of_range_residue_envelope(capsys, argv, envelope):
+    code = main([*argv, "--format", "machine"])
+    assert code == 1
+    assert capsys.readouterr().out == envelope + "\n"
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**64), str(5 + 2**64), "five"])
 def test_run_seed_outside_64_bit_range_is_usage_error(capsys, seed):
     code = main(["run", "--d", "3", "--axiom", "0,0", "--measure", "1",

@@ -138,6 +138,13 @@ def test_predicted_behavior_from_decidability():
     assert predicted_behavior(axiom, 3) == Behavior.uniform()
 
 
+def test_predicted_behavior_rejects_measurement_outside_range():
+    axiom = Proposition.of(1, 1, D3)
+    for m in (-1, 4, 7):
+        with pytest.raises(ValueError, match=rf"measurement index {m} out of range \[0, 3\]"):
+            predicted_behavior(axiom, m)
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_cross_validate_all_cells_agree(d):
     report = cross_validate(Dimension(d))
@@ -149,7 +156,7 @@ def test_cross_validate_all_cells_agree(d):
 
 def test_cross_validate_cell_detail():
     report = cross_validate(D3)
-    by_key = {(c.axiom.a, c.axiom.b.value, c.m): c for c in report.cells}
+    by_key = {(c.axiom.a, c.axiom.b, c.m): c for c in report.cells}
     cell = by_key[(1, 1, 1)]
     assert cell.predicted == Behavior.deterministic(1)
     assert cell.observed == Behavior.deterministic(1)

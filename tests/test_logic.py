@@ -20,7 +20,7 @@ from mublogic.logic import (
     outcome_multiplicities,
     partition_table,
 )
-from mublogic.modmath import Dimension
+from mublogic.modmath import Dimension, DimensionMismatch
 
 PRIMES = [2, 3, 5, 7]
 
@@ -42,9 +42,9 @@ def enumerate_group(p: Proposition) -> set[tuple[int, int]]:
     for f0 in range(d):
         for f1 in range(d):
             if p.a < d:
-                ok = f1 == (p.a * f0 + p.b.value) % d
+                ok = f1 == (p.a * f0 + p.b) % d
             else:
-                ok = f0 == p.b.value
+                ok = f0 == p.b
             if ok:
                 members.add((f0, f1))
     return members
@@ -184,3 +184,42 @@ def test_outcome_multiplicities_point_or_flat(d):
                     assert counts == {n: (d if n == b else 0) for n in range(d)}
                 else:
                     assert counts == {n: 1 for n in range(d)}
+
+
+VALUE_CONSTRUCTORS = {
+    "Proposition.of b": lambda v: Proposition.of(0, v, D3),
+    "BinaryFunction.from_values f0": lambda v: BinaryFunction.from_values(v, 0, D3),
+    "BinaryFunction.from_values f1": lambda v: BinaryFunction.from_values(0, v, D3),
+}
+
+
+@pytest.mark.parametrize("make", VALUE_CONSTRUCTORS.values(), ids=VALUE_CONSTRUCTORS.keys())
+def test_values_in_z_d_are_checked(make):
+    for good in range(3):
+        make(good)
+    for bad in (3, 9, -1):
+        with pytest.raises(ValueError, match=rf"^residue {bad} out of range for d=3$"):
+            make(bad)
+    for bad in (True, 1.0):
+        with pytest.raises(TypeError, match="^residue value must be an int"):
+            make(bad)
+
+
+def test_partition_index_checked_after_b():
+    with pytest.raises(ValueError, match=r"^partition index 4 out of range \[0, 3\]$"):
+        Proposition.of(4, 0, D3)
+    with pytest.raises(TypeError, match="^partition index must be an int"):
+        Proposition.of(True, 0, D3)
+    with pytest.raises(ValueError, match="^residue 9 out of range"):
+        Proposition.of(9, 9, D3)
+    with pytest.raises(TypeError, match="^residue value must be an int"):
+        Proposition.of(9, 1.0, D3)
+
+
+def test_functions_and_propositions_of_different_dimensions_do_not_mix():
+    d5 = Dimension(5)
+    with pytest.raises(DimensionMismatch):
+        holds(BinaryFunction.from_values(0, 0, D3), Proposition.of(0, 0, d5))
+    with pytest.raises(DimensionMismatch):
+        decide(Proposition.of(0, 0, D3), Proposition.of(0, 0, d5))
+    assert BinaryFunction.from_values(1, 2, D3) != BinaryFunction.from_values(1, 2, d5)
