@@ -2,8 +2,9 @@
 
 Every invocation emits exactly one envelope on standard output. In machine
 format the envelope is a single-line JSON document with floats rendered to
-17 significant digits (enough to round-trip any double); in text format it
-is a human-readable rendering of the same content.
+17 significant digits (enough to round-trip any double) and integer arrays
+rendered by the C JSON encoder; in text format it is a human-readable
+rendering of the same content.
 
 Exit codes: 0 success, 1 usage or input error, 2 validation failure (a
 verification command ran but its checks did not pass).
@@ -15,6 +16,8 @@ import argparse
 import json
 import math
 import sys
+
+import numpy as np
 
 from .experiment import (
     ALPHA,
@@ -35,14 +38,27 @@ from .mub import MubReport, verify
 
 SCHEMA_VERSION = "1.0.0"
 MAX_TEXT_TABLE_D = 7
+# size budget of `table` in either format: the machine envelope holds
+# 2 d**2 (d+1) ints, about 10 MB at d = 101
+MAX_TABLE_D = 101
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
 
+_quote = json.encoder.encode_basestring_ascii
+# the nested lists of ndarray.tolist() cannot refer to themselves
+_encode_plain = json.JSONEncoder(check_circular=False).encode
+
+
 def to_json(value) -> str:
-    """Render a plain-python document as JSON with 17-significant-digit floats."""
+    """Render a plain-python document as JSON with 17-significant-digit floats.
+
+    An integer ndarray is rendered by the C JSON encoder, one call per row;
+    its ints, separators and brackets are the bytes its nested lists would
+    give. Strings are quoted by the function json.dumps uses for them.
+    """
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -54,12 +70,16 @@ def to_json(value) -> str:
             raise ValueError("only finite numbers are serializable")
         return format(value, ".17g")
     if isinstance(value, str):
-        return json.dumps(value)
+        return _quote(value)
     if isinstance(value, dict):
-        items = ", ".join(f"{json.dumps(str(k))}: {to_json(v)}" for k, v in value.items())
+        items = ", ".join(f"{_quote(str(k))}: {to_json(v)}" for k, v in value.items())
         return "{" + items + "}"
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(to_json(v) for v in value) + "]"
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iu":
+        # one encoder call per row keeps the encoder's buffer of small strings
+        # short: less peak memory, and faster, than one call for the array
+        return "[" + ", ".join(map(_encode_plain, value.tolist())) + "]"
     raise TypeError(f"unserializable value: {value!r}")
 
 
@@ -268,11 +288,13 @@ def _parameters(args: argparse.Namespace) -> dict:
 
 
 def _cmd_table(args):
+    if args.d > MAX_TABLE_D:
+        raise ValueError(f"table is limited to d <= {MAX_TABLE_D}, got d = {args.d}")
     dim = Dimension(args.d)
     payload = {
         "d": dim.d,
         "labels": [relation_label(a, dim.d) for a in range(dim.d + 1)],
-        "cells": partition_array(dim).tolist(),
+        "cells": partition_array(dim),
     }
     text = render_table_text(dim) if args.format == "text" else ""
     return payload, None, text

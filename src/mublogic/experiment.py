@@ -217,29 +217,43 @@ def cross_validate(dim: Dimension, tol: float = 1e-9) -> CrossReport:
     forecast, the m = a cell is deterministic at n = b, and every m != a
     cell is uniform. The cell also records how far the Born probabilities
     drift from group-counting multiplicities divided by d; for this function
-    family the two are equal.
+    family the two are equal. The d+1 cells of an axiom are classified in
+    one array pass, with the comparisons of observed_behavior and _forecast.
     """
     d = dim.d
     if d > 31:
         raise ValueError("cross-validation is a desk-scale sweep; d <= 31 required")
     measure = [measurement(dim, m) for m in range(d + 1)]
+    # a cell's behaviours are coded as in _behavior_codes; one object per code
+    behaviors = [Behavior.deterministic(n) for n in range(d)]
+    behaviors += [Behavior.uniform(), Behavior.mixed()]
+    settings = np.arange(d + 1)
     cells = []
     for a in range(d + 1):
         for b in range(d):
             axiom = Proposition.of(a, b, dim)
             amplitudes = prepare(axiom).amplitudes
-            for m in range(d + 1):
-                probabilities = measure[m](amplitudes)
-                counts = label_counts(axiom, m)
-                observed = observed_behavior(probabilities, d, tol)
-                predicted = _forecast(counts, d)
-                deviation = np.max(np.abs(probabilities - counts / d))
-                if m == a:
-                    expected = Behavior.deterministic(b)
-                else:
-                    expected = Behavior.uniform()
-                agree = observed == predicted == expected
-                cells.append(
-                    CrossCell(axiom, m, predicted, observed, agree, float(deviation))
-                )
+            # row m: the Born probabilities and the label counts of cell (axiom, m)
+            probabilities = np.stack([measure[m](amplitudes) for m in range(d + 1)])
+            counts = np.stack([label_counts(axiom, m) for m in range(d + 1)])
+            observed = _behavior_codes(
+                probabilities > 1.0 - tol, np.abs(probabilities - 1.0 / d) <= tol
+            )
+            predicted = _behavior_codes(counts == d, counts != 0)
+            expected = np.where(settings == a, b, d)
+            agree = (observed == predicted) & (predicted == expected)
+            deviations = np.max(np.abs(probabilities - counts / d), axis=1)
+            for m, obs, pred, ok, dev in zip(
+                range(d + 1), observed.tolist(), predicted.tolist(),
+                agree.tolist(), deviations.tolist(),
+            ):
+                cells.append(CrossCell(axiom, m, behaviors[pred], behaviors[obs], ok, dev))
     return CrossReport(dim, tol, tuple(cells))
+
+
+def _behavior_codes(point: np.ndarray, near_uniform: np.ndarray) -> np.ndarray:
+    """Per row: the first outcome n with a point mass, else d if every
+    outcome is near uniform, else d + 1 (mixed)."""
+    d = point.shape[1]
+    rest = np.where(near_uniform.all(axis=1), d, d + 1)
+    return np.where(point.any(axis=1), point.argmax(axis=1), rest)

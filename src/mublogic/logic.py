@@ -123,9 +123,15 @@ def group(p: Proposition) -> tuple[BinaryFunction, ...]:
 def partition_array(dim: Dimension) -> np.ndarray:
     """(d+1, d, d, 2) int array: group {a, b} at [a, b] as its (f(0), f(1)) pairs."""
     d = dim.d
-    return np.array(
-        [[np.column_stack(group_arrays(a, b, d)) for b in range(d)] for a in range(d + 1)]
-    )
+    k = np.arange(d)
+    table = np.empty((d + 1, d, d, 2), dtype=k.dtype)
+    # rows a < d as group_arrays gives them: (k, (a k + b) mod d), [a, b, k]
+    table[:d, :, :, 0] = k
+    table[:d, :, :, 1] = (k[:, None, None] * k + k[:, None]) % d
+    # the value-pin row: (b, k)
+    table[d, :, :, 0] = k[:, None]
+    table[d, :, :, 1] = k
+    return table
 
 
 def partition_table(dim: Dimension) -> tuple[tuple[tuple[BinaryFunction, ...], ...], ...]:

@@ -3,9 +3,11 @@
 The quantum route builds each basis as one matrix B_a and measures with one
 product |B_m^dagger psi|^2; the logic route counts over the int arrays of a
 group. Each is compared here with the element-by-element computation it
-replaced, written out in full. cross_validate, which measures with one
-B_m per basis and counts each cell once, is compared with the per-cell
-path through the public functions.
+replaced, written out in full. partition_array, one broadcast, is compared
+with the table built cell by cell. cross_validate, which measures with one
+B_m per basis, counts each cell once and classifies an axiom's d+1 cells in
+one array pass, is compared with the per-cell path through the public
+functions.
 """
 
 import math
@@ -13,6 +15,7 @@ import math
 import numpy as np
 import pytest
 
+from mublogic import experiment, logic
 from mublogic.devices import born, prepare
 from mublogic.experiment import (
     Behavior,
@@ -27,9 +30,10 @@ from mublogic.logic import (
     decide,
     group_arrays,
     outcome_multiplicities,
+    partition_array,
     partition_table,
 )
-from mublogic.modmath import Dimension
+from mublogic.modmath import Dimension, is_prime
 from mublogic.mub import basis_matrix, basis_state
 from mublogic.qlinalg import inner, root_of_unity
 from test_logic import enumerate_group
@@ -88,6 +92,24 @@ def test_born_matches_per_state_inner_products(d):
                 assert np.max(np.abs(got - expected)) <= 1e-15, (a, b, m)
 
 
+def reference_partition_array(dim: Dimension) -> np.ndarray:
+    """The partition table cell by cell, as partition_array built it before."""
+    d = dim.d
+    return np.array(
+        [[np.column_stack(group_arrays(a, b, d)) for b in range(d)] for a in range(d + 1)]
+    )
+
+
+@pytest.mark.parametrize("d", [p for p in range(2, 42) if is_prime(p)])
+def test_partition_array_equals_per_cell_construction(d):
+    dim = Dimension(d)
+    table = partition_array(dim)
+    expected = reference_partition_array(dim)
+    assert table.dtype == expected.dtype and table.shape == (d + 1, d, d, 2)
+    assert table.flags.c_contiguous
+    assert np.array_equal(table, expected)
+
+
 def oracle_decide(axiom_group: set, theorem_group: set, d: int) -> Decidability:
     common = len(axiom_group & theorem_group)
     if common == d:
@@ -129,9 +151,26 @@ def test_logic_route_matches_filter_oracle(d):
 
 
 @pytest.mark.parametrize("d", SMALL_PRIMES)
-@pytest.mark.parametrize("tol", [1e-9, 1e-20])
+@pytest.mark.parametrize("tol", [1e-9, 1e-20, 0.6])
 def test_cross_validate_cells_equal_per_cell_reference(d, tol):
-    dim = Dimension(d)
+    assert_cells_equal_per_cell_reference(Dimension(d), tol)
+
+
+@pytest.mark.parametrize("d", [2, 5])
+def test_cross_validate_flags_a_wrong_forecast_like_the_reference(d, monkeypatch):
+    # a broken logic route: at m = 0 every count moves to the next outcome
+    counts = logic.label_counts
+    for module in (logic, experiment):
+        monkeypatch.setattr(
+            module, "label_counts", lambda axiom, m: np.roll(counts(axiom, m), 1 if m == 0 else 0)
+        )
+    report = cross_validate(Dimension(d))
+    assert report.disagreements == d
+    assert_cells_equal_per_cell_reference(Dimension(d), 1e-9)
+
+
+def assert_cells_equal_per_cell_reference(dim, tol):
+    d = dim.d
     cells = iter(cross_validate(dim, tol).cells)
     for a in range(d + 1):
         for b in range(d):

@@ -1,13 +1,18 @@
 """CLI surface: golden table, envelopes, exit codes, schema conformance."""
 
+import hashlib
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from mublogic.cli import main, to_json
+from mublogic.cli import MAX_TABLE_D, main, to_json
+from mublogic.logic import partition_array
+from mublogic.modmath import Dimension, is_prime
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN_TABLE_D3 = REPO / "tests" / "golden" / "table_d3.txt"
@@ -66,6 +71,49 @@ def test_table_text_rejects_wide_dimensions(capsys):
     code, env = invoke_machine(capsys, "table", "--d", "11")
     assert code == 0
     assert len(env["payload"]["cells"]) == 12
+
+
+# sha256 of the machine `table` envelope (stdout, newline included), recorded
+# before integer arrays were serialized in one encoder call
+TABLE_ENVELOPE_SHA256 = {
+    13: "f71773a80a267645c0d4149a23dcbccfc2548ff806f98710ac7586cd689c7c50",
+    41: "e04dcdb5207f37098e93e86bc7f84dcaf70df862bd3cf87970ee33ce49e33abe",
+}
+
+
+@pytest.mark.parametrize("d", sorted(TABLE_ENVELOPE_SHA256))
+def test_table_machine_envelope_bytes_are_pinned(capsys, d):
+    code, out = invoke(capsys, "table", "--d", str(d), "--format", "machine")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_ENVELOPE_SHA256[d]
+
+
+@pytest.mark.parametrize("d", [103, 2147483647])
+@pytest.mark.parametrize("fmt", ["machine", "text"])
+def test_table_above_size_budget_fails_fast(capsys, d, fmt):
+    assert MAX_TABLE_D == 101
+    start = time.perf_counter()
+    code, out = invoke(capsys, "table", "--d", str(d), "--format", fmt)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    message = f"table is limited to d <= 101, got d = {d}"
+    if fmt == "machine":
+        env = json.loads(out)
+        assert out.count("\n") == 1
+        assert env["status"] == "error" and env["payload"] is None
+        assert env["error_message"] == message
+    else:
+        assert out == f"error: {message}\n"
+
+
+def test_table_at_size_budget_is_served(capsys):
+    code, out = invoke(capsys, "table", "--d", "101", "--format", "machine")
+    assert code == 0
+    cells = json.loads(out)["payload"]["cells"]
+    assert len(cells) == 102 and cells[101][100][100] == [100, 100]
+    # text format keeps its own, smaller limit
+    code, out = invoke(capsys, "table", "--d", "101")
+    assert code == 1 and "d <= 7" in out
 
 
 def test_verify_mub_pass_and_fail_paths(capsys):
@@ -264,6 +312,62 @@ def test_to_json_rejects_non_finite():
         to_json(float("nan"))
     with pytest.raises(ValueError):
         to_json(float("inf"))
+
+
+@pytest.mark.parametrize("d", [p for p in range(2, 62) if is_prime(p)])
+def test_to_json_int_array_equals_nested_lists(d):
+    table = partition_array(Dimension(d))
+    assert to_json(table) == to_json(table.tolist())
+
+
+def test_to_json_int_arrays_of_other_shapes_and_widths():
+    for array in (
+        np.zeros((0,), dtype=np.int64),
+        np.zeros((2, 0), dtype=np.int64),
+        np.arange(6, dtype=np.uint8).reshape(2, 3),
+        np.array([-(2**63), 2**63 - 1]),
+        np.array([2**64 - 1], dtype=np.uint64),
+    ):
+        assert to_json(array) == to_json(array.tolist())
+        assert to_json(array) == json.dumps(array.tolist())
+
+
+@pytest.mark.parametrize(
+    "text", ['say "hi"', "back\\slash", "new\nline", "\x01", "\u2264", "\ud800", ""]
+)
+def test_to_json_strings_and_keys_match_json_dumps(text):
+    assert to_json(text) == json.dumps(text)
+    assert to_json({text: 1}) == json.dumps({text: 1})
+
+
+@pytest.mark.parametrize(
+    "array",
+    [
+        np.array([0.5, 1.0]),
+        np.array([True, False]),
+        np.array([1j]),
+        np.array(["a"]),
+    ],
+    ids=["float", "bool", "complex", "str"],
+)
+def test_to_json_rejects_arrays_other_than_integer_ones(array):
+    with pytest.raises(TypeError):
+        to_json(array)
+
+
+def test_to_json_int_array_at_least_2x_faster_than_nested_lists():
+    table = partition_array(Dimension(41))
+    nested = table.tolist()
+
+    def best_of(value, repeats=5):
+        times = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            to_json(value)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert 2 * best_of(table) <= best_of(nested)
 
 
 def test_text_outputs_are_readable(capsys):
