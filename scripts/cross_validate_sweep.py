@@ -9,7 +9,7 @@ group-counting multiplicities. Exits nonzero if any cell disagrees.
 import argparse
 import sys
 
-from mublogic.cli import disagreement_line, parse_tolerance
+from mublogic.cli import check_budget, disagreement_line, parse_tolerance
 from mublogic.experiment import cross_validate
 from mublogic.modmath import Dimension
 
@@ -24,7 +24,10 @@ def main() -> int:
     args = parser.parse_args()
 
     try:
-        dims = [Dimension(int(tok)) for tok in args.dims.split(",") if tok.strip()]
+        ds = [int(tok) for tok in args.dims.split(",") if tok.strip()]
+        for d in ds:
+            check_budget("cross-validate", d)
+        dims = [Dimension(d) for d in ds]
         reports = [cross_validate(dim, args.tol) for dim in dims]
     except ValueError as exc:
         parser.error(str(exc))

@@ -9,7 +9,7 @@ rejections at roughly the alpha = 0.001 rate across seeds.
 import argparse
 import sys
 
-from mublogic.cli import parse_seed
+from mublogic.cli import check_budget, parse_seed
 from mublogic.experiment import (
     ALPHA,
     ExperimentConfig,
@@ -29,6 +29,7 @@ def main() -> int:
     args = parser.parse_args()
 
     try:
+        check_budget("run", args.d, args.trials)
         dim = Dimension(args.d)
         d = dim.d
         results = []

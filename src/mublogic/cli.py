@@ -38,9 +38,21 @@ from .mub import MubReport, verify
 
 SCHEMA_VERSION = "1.0.0"
 MAX_TEXT_TABLE_D = 7
-# size budget of `table` in either format: the machine envelope holds
-# 2 d**2 (d+1) ints, about 10 MB at d = 101
+# size budgets per command, checked before any work, so that a huge --d or
+# --trials fails fast with one error envelope. `table` is bound by its
+# envelope (2 d**2 (d+1) ints, about 10 MB at d = 101), `verify-mub` and
+# `cross-validate` by time, `probs` and `run` by their d x d basis matrices,
+# `decide` by its primality test and group arrays, and --trials by time
 MAX_TABLE_D = 101
+MAX_D = {
+    "table": MAX_TABLE_D,
+    "verify-mub": 211,
+    "decide": 2**20,
+    "probs": 1009,
+    "run": 1009,
+    "cross-validate": 31,
+}
+MAX_TRIALS = 10_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +299,14 @@ def _parameters(args: argparse.Namespace) -> dict:
 # command handlers: each returns (payload, failure_message, text)
 
 
+def check_budget(command: str, d: int, trials: int | None = None) -> None:
+    """Raise ValueError if `command` at this size is over its budget."""
+    for name, value, limit in (("d", d, MAX_D[command]), ("trials", trials, MAX_TRIALS)):
+        if value is not None and value > limit:
+            raise ValueError(f"{command} is limited to {name} <= {limit}, got {name} = {value}")
+
+
 def _cmd_table(args):
-    if args.d > MAX_TABLE_D:
-        raise ValueError(f"table is limited to d <= {MAX_TABLE_D}, got d = {args.d}")
     dim = Dimension(args.d)
     payload = {
         "d": dim.d,
@@ -443,6 +460,7 @@ def main(argv=None) -> int:
 
     parameters = _parameters(args)
     try:
+        check_budget(args.command, args.d, getattr(args, "trials", None))
         payload, failure, text = _HANDLERS[args.command](args)
     except (NotPrimeError, DimensionMismatch, ValidityError, ValueError) as exc:
         envelope = _envelope(args.command, parameters, "error", None, str(exc))

@@ -1,10 +1,11 @@
 """Preparation and measurement devices for a single qudit.
 
-Preparation encodes an axiom {a, b} by starting from |0>_a and applying
-U = X^f(0) Z^f(1) for a function f consistent with the axiom. Any member of
-the axiom's group yields the same state up to a global phase; the public
-prepare() uses the canonical member with f(0) = 0 (or f(1) = 0 for the
-value-pin partition a = d), so the unitary degenerates to Z^b (or X^b).
+The paper encodes an axiom {a, b} by starting from |0>_a and applying
+U = X^f(0) Z^f(1) for a function f consistent with the axiom; any member of
+the axiom's group yields the same state up to a global phase
+(encode_unitary, prepare_with). That state is the one of basis a that a
+measurement at m = a reads as n = b, so prepare() returns it directly: the
+column of B_a that outcome label b names.
 
 Measurement in basis m returns Born probabilities over outcome labels n.
 Outcome labels follow n(j) = -j mod d for the shift-generated bases m < d,
@@ -67,18 +68,14 @@ def encode_unitary(f: BinaryFunction) -> Operator:
     return compose(power(pauli_x(dim), f.f0), power(pauli_z(dim), f.f1))
 
 
-def prepare(axiom: Proposition) -> StateVector:
-    """Encode the axiom via its canonical group member.
+def _column(n, m: int, d: int):
+    """Column j of B_m that outcome label n names (int or int array)."""
+    return n if m == d else -n % d
 
-    The result is |-b mod d>_a up to a global phase for a < d, and exactly
-    |b> for a = d.
-    """
-    dim = axiom.dim
-    if axiom.a < dim.d:
-        canonical = BinaryFunction.from_values(0, axiom.b, dim)
-    else:
-        canonical = BinaryFunction.from_values(axiom.b, 0, dim)
-    return apply(encode_unitary(canonical), basis_state(dim, axiom.a, 0))
+
+def prepare(axiom: Proposition) -> StateVector:
+    """Encode the axiom: |-b mod d>_a for a < d, and |b> for a = d."""
+    return basis_state(axiom.dim, axiom.a, _column(axiom.b, axiom.a, axiom.dim.d))
 
 
 def prepare_with(f: BinaryFunction, a: int) -> StateVector:
@@ -104,7 +101,7 @@ def measurement(dim: Dimension, m: int) -> Callable[[np.ndarray], np.ndarray]:
     if not 0 <= m <= d:
         raise ValueError(f"measurement index {m} out of range [0, {d}]")
     adjoint = basis_matrix(dim, m).conj().T
-    labels = np.arange(d) if m == d else -np.arange(d) % d
+    labels = _column(np.arange(d), m, d)
 
     def probabilities(amplitudes: np.ndarray) -> np.ndarray:
         return np.clip(np.abs(adjoint @ amplitudes) ** 2, 0.0, 1.0)[labels]

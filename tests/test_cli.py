@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mublogic.cli import MAX_TABLE_D, main, to_json
+from mublogic.cli import MAX_D, MAX_TABLE_D, MAX_TRIALS, main, to_json
 from mublogic.logic import partition_array
 from mublogic.modmath import Dimension, is_prime
 
@@ -104,6 +104,61 @@ def test_table_above_size_budget_fails_fast(capsys, d, fmt):
         assert env["error_message"] == message
     else:
         assert out == f"error: {message}\n"
+
+
+# the arguments each command needs besides --d; all inside every budget
+BUDGET_ARGS = {
+    "table": (),
+    "verify-mub": (),
+    "decide": ("--axiom", "0,0", "--theorem", "1,0"),
+    "probs": ("--axiom", "0,0", "--measure", "1"),
+    "run": ("--axiom", "0,0", "--measure", "1", "--trials", "10", "--seed", "1"),
+    "cross-validate": (),
+}
+
+
+def test_size_budgets():
+    assert MAX_D == {
+        "table": 101, "verify-mub": 211, "decide": 2**20,
+        "probs": 1009, "run": 1009, "cross-validate": 31,
+    }
+    assert MAX_TRIALS == 10_000_000
+
+
+def assert_fails_fast(capsys, argv, message):
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads(ENVELOPE_SCHEMA.read_text())
+    for fmt in ("machine", "text"):
+        start = time.perf_counter()
+        code = main([*argv, "--format", fmt])
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        if fmt == "machine":
+            assert captured.out.count("\n") == 1
+            env = json.loads(captured.out)
+            jsonschema.validate(env, schema)
+            assert env["status"] == "error" and env["payload"] is None
+            assert env["error_message"] == message
+        else:
+            assert captured.out == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", sorted(BUDGET_ARGS))
+@pytest.mark.parametrize("over", ["limit+1", "2**61-1"])
+def test_dimension_above_command_budget_fails_fast(capsys, command, over):
+    limit = MAX_D[command]
+    d = limit + 1 if over == "limit+1" else 2**61 - 1
+    argv = [command, "--d", str(d), *BUDGET_ARGS[command]]
+    assert_fails_fast(capsys, argv, f"{command} is limited to d <= {limit}, got d = {d}")
+
+
+def test_trials_above_budget_fails_fast(capsys):
+    argv = ["run", "--d", "3", "--axiom", "0,0", "--measure", "1",
+            "--trials", "10000001", "--seed", "1"]
+    message = "run is limited to trials <= 10000000, got trials = 10000001"
+    assert_fails_fast(capsys, argv, message)
 
 
 def test_table_at_size_budget_is_served(capsys):

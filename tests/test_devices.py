@@ -103,13 +103,30 @@ def test_group_members_encode_same_state(d):
                 assert abs(inner(s, t)) > 1.0 - 1e-10
 
 
-def test_canonical_member_is_bitwise_identical():
-    for a in range(3):
-        for b in range(3):
-            f = BinaryFunction.from_values(0, b, D3)
-            assert np.array_equal(
-                prepare_with(f, a).amplitudes, prepare(Proposition.of(a, b, D3)).amplitudes
-            )
+PRIMES_TO_31 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+
+@pytest.mark.parametrize("d", PRIMES_TO_31)
+def test_prepare_is_the_column_of_b_a_that_b_names(d):
+    dim = Dimension(d)
+    for a in range(d + 1):
+        for b in range(d):
+            j = b if a == d else (-b) % d
+            state = prepare(Proposition.of(a, b, dim))
+            assert state.amplitudes.tobytes() == basis_state(dim, a, j).amplitudes.tobytes()
+
+
+@pytest.mark.parametrize("d", PRIMES_TO_31)
+def test_prepare_matches_the_canonical_unitary_encoding(d):
+    # the canonical member has f(0) = 0, or f(1) = 0 on the pin row a = d, so
+    # U = Z^b (X^b) shifts |0>_a onto the prepared state with no global phase
+    dim = Dimension(d)
+    for a in range(d + 1):
+        for b in range(d):
+            f0, f1 = (b, 0) if a == d else (0, b)
+            reference = prepare_with(BinaryFunction.from_values(f0, f1, dim), a)
+            state = prepare(Proposition.of(a, b, dim))
+            assert np.max(np.abs(state.amplitudes - reference.amplitudes)) <= 1e-14
 
 
 def test_born_examples():

@@ -3,8 +3,9 @@
 tests/golden/envelopes.jsonl holds one record per invocation: the argv, the
 exit code and the exact stdout. Stdout must match byte for byte, except in
 the three Born-derived float fields, where a matrix product may sum in a
-different order than a per-state inner product: those agree to 1e-15
-absolute.
+different order than a per-state inner product, and the encoded state is
+read from a column of B_a instead of being built by X^f(0) Z^f(1): those
+agree to 1e-15 absolute.
 """
 
 import json

@@ -56,8 +56,14 @@ def test_cross_validate_sweep_small_primes_agree():
     ("uniformity_sweep.py", ["--d", "37"], "no embedded chi-square critical value for df = 36"),
     ("uniformity_sweep.py", ["--trials", "10"], "needs at least 15 trials for a verdict"),
     ("cross_validate_sweep.py", ["--dims", "4"], "d must be prime"),
-    ("cross_validate_sweep.py", ["--dims", "37"], "cross-validation is a desk-scale sweep; d <= 31 required"),
+    ("cross_validate_sweep.py", ["--dims", "37"], "cross-validate is limited to d <= 31, got d = 37"),
     ("cross_validate_sweep.py", ["--tol", "nan"], "argument --tol: tolerance must be finite and > 0"),
+    ("uniformity_sweep.py", ["--d", "1010"], "run is limited to d <= 1009, got d = 1010"),
+    ("uniformity_sweep.py", ["--d", str(2**61 - 1)], f"run is limited to d <= 1009, got d = {2**61 - 1}"),
+    ("uniformity_sweep.py", ["--trials", "10000001"],
+     "run is limited to trials <= 10000000, got trials = 10000001"),
+    ("cross_validate_sweep.py", ["--dims", f"3,{2**61 - 1}"],
+     f"cross-validate is limited to d <= 31, got d = {2**61 - 1}"),
 ])
 def test_scripts_reject_invalid_input_without_traceback(script, argv, reason):
     proc = run_script(script, *argv)
