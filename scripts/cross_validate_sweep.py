@@ -7,9 +7,8 @@ group-counting multiplicities. Exits nonzero if any cell disagrees.
 """
 
 import argparse
-import sys
 
-from mublogic.cli import check_budget, disagreement_line, parse_tolerance
+from mublogic.cli import check_budget, disagreement_line, entrypoint, parse_tolerance
 from mublogic.experiment import cross_validate
 from mublogic.modmath import Dimension
 
@@ -48,4 +47,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entrypoint(main)

@@ -7,9 +7,8 @@ rejections at roughly the alpha = 0.001 rate across seeds.
 """
 
 import argparse
-import sys
 
-from mublogic.cli import check_budget, parse_seed
+from mublogic.cli import check_budget, entrypoint, parse_seed
 from mublogic.experiment import (
     ALPHA,
     ExperimentConfig,
@@ -64,4 +63,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entrypoint(main)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -203,17 +204,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _pair(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(
-            f"expected two comma-separated integers, got {text!r}"
-        )
     try:
-        return int(parts[0]), int(parts[1])
+        a, b = map(int, text.split(","))  # a count other than two is a ValueError too
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected two comma-separated integers, got {text!r}"
         ) from None
+    return a, b
 
 
 def parse_seed(text: str) -> int:
@@ -284,14 +281,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parameters(args: argparse.Namespace) -> dict:
     params: dict = {"d": args.d}
-    for name in ("axiom", "theorem"):
+    for name in ("axiom", "theorem", "measure", "trials", "seed", "tol"):
         value = getattr(args, name, None)
         if value is not None:
-            params[name] = list(value)
-    for name in ("measure", "trials", "seed", "tol"):
-        value = getattr(args, name, None)
-        if value is not None:
-            params[name] = value
+            params[name] = list(value) if isinstance(value, tuple) else value
     return params
 
 
@@ -484,5 +477,17 @@ def main(argv=None) -> int:
     return code
 
 
-def entrypoint() -> None:
-    sys.exit(main())
+def entrypoint(run=main) -> None:
+    """sys.exit(run()); exit 1, without a traceback, if stdout's reader closes early."""
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout at devnull, so the interpreter's last flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -444,6 +445,38 @@ def test_module_invocation_smoke():
     )
     assert proc.returncode == 0
     assert proc.stdout == GOLDEN_TABLE_D3.read_text()
+
+
+def test_cli_module_invocation_matches_package_invocation():
+    argv = ["decide", "--d", "3", "--axiom", "0,0", "--theorem", "1,0", "--format", "machine"]
+    package, module = (
+        subprocess.run([sys.executable, "-m", name, *argv], capture_output=True, text=True)
+        for name in ("mublogic", "mublogic.cli")
+    )
+    assert package.stdout.startswith('{"schema_version"')
+    assert (module.stdout, module.returncode) == (package.stdout, package.returncode)
+
+
+def read_head_then_close(argv: list[str]) -> tuple[int, str]:
+    """Run argv, read 50 bytes of its stdout and close the pipe, like `| head -c 50`.
+
+    Every argv used here prints well over a pipe buffer, so the writer is
+    still writing when the pipe closes. Returns the exit code and stderr.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(50)) == 50
+    proc.stdout.close()
+    code = proc.wait(timeout=60)
+    return code, proc.stderr.read().decode()
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    code, stderr = read_head_then_close(
+        [sys.executable, "-m", "mublogic", "cross-validate", "--d", "13", "--format", "machine"]
+    )
+    assert (code, stderr) == (1, "")
 
 
 def one_disagreeing_report(dim, tol=1e-9):

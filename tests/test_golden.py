@@ -6,6 +6,12 @@ the three Born-derived float fields, where a matrix product may sum in a
 different order than a per-state inner product, and the encoded state is
 read from a column of B_a instead of being built by X^f(0) Z^f(1): those
 agree to 1e-15 absolute.
+
+The six `verify-mub` records at d = 3, 5 and 7 (both tolerances) were
+re-captured when verify() moved to one representative column per basis
+pair: its four deviation fields, and the maximum that the --tol 1e-20
+error message quotes, are maxima over fewer entries, each summed in a
+different order. The d = 2 records did not change.
 """
 
 import json

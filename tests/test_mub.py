@@ -2,15 +2,24 @@
 
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
 
-from mublogic.modmath import Dimension
-from mublogic.mub import basis_operator, basis_state, full_set, verify
+from mublogic import mub
+from mublogic.modmath import Dimension, is_prime
+from mublogic.mub import MubReport, basis_matrix, basis_operator, basis_state, verify
 from mublogic.qlinalg import apply, inner, ket, pauli_z
 
 PRIMES = [2, 3, 5]
+PRIMES_TO_31 = [p for p in range(2, 32) if is_prime(p)]
+FIELDS = (
+    "max_orthonormality_deviation",
+    "max_unbiasedness_deviation",
+    "max_eigen_residual",
+    "max_shift_residual",
+)
 
 
 def formula_state(d: int, a: int, j: int) -> np.ndarray:
@@ -58,12 +67,17 @@ def test_d2_special_basis():
     assert np.allclose(basis_state(d2, 1, 1).amplitudes, [half, -1j * half])
 
 
+def all_bases(dim: Dimension) -> list[np.ndarray]:
+    """The d+1 bases, each as its states: row j of entry a is |j>_a."""
+    return [basis_matrix(dim, a).T for a in range(dim.d + 1)]
+
+
 def test_full_set_counts():
-    assert len(full_set(Dimension(2))) == 3
-    bases3 = full_set(Dimension(3))
+    assert len(all_bases(Dimension(2))) == 3
+    bases3 = all_bases(Dimension(3))
     assert len(bases3) == 4
-    assert sum(len(b.states) for b in bases3) == 12
-    assert len(full_set(Dimension(5))) == 6
+    assert sum(len(b) for b in bases3) == 12
+    assert len(all_bases(Dimension(5))) == 6
 
 
 @pytest.mark.parametrize("d", PRIMES)
@@ -100,12 +114,12 @@ def test_eigenvector_property(d):
 @pytest.mark.parametrize("d", PRIMES)
 def test_unbiasedness_and_orthonormality(d):
     dim = Dimension(d)
-    bases = full_set(dim)
+    bases = all_bases(dim)
     for a in range(d + 1):
         for j in range(d):
             for m in range(a, d + 1):
                 for k in range(d):
-                    overlap = abs(inner(bases[a].states[j], bases[m].states[k])) ** 2
+                    overlap = abs(np.vdot(bases[a][j], bases[m][k])) ** 2
                     if a == m:
                         expected = 1.0 if j == k else 0.0
                     else:
@@ -132,3 +146,140 @@ def test_invalid_labels_rejected():
 def test_basis_zero_is_ket_like_for_pin_row():
     d3 = Dimension(3)
     assert np.array_equal(basis_state(d3, 3, 0).amplitudes, ket(d3, 0).amplitudes)
+
+
+# ---------------------------------------------------------------------------
+# verify() reads one representative column per basis pair; the reference
+# below is the full pairwise check it replaced, O(d^5). Both look the bases
+# up as mub.basis_matrix, so a monkeypatched mutant reaches both.
+
+
+def _eigen_residual(op: np.ndarray, basis: np.ndarray) -> float:
+    # Rayleigh quotient per column, then the residual norm
+    image = op @ basis
+    eigenvalues = np.sum(basis.conj() * image, axis=0)
+    return float(np.max(np.linalg.norm(image - basis * eigenvalues, axis=0)))
+
+
+def reference_verify(dim: Dimension, tol: float = 1e-10) -> MubReport:
+    """Every overlap of every basis pair, by dense products B_a^dagger B_m."""
+    d = dim.d
+    matrices = [mub.basis_matrix(dim, a) for a in range(d + 1)]
+    eye = np.eye(d)
+    z = pauli_z(dim).entries
+
+    ortho = max(
+        float(np.max(np.abs(m.conj().T @ m - eye))) for m in matrices
+    )
+    unbias = max(
+        float(np.max(np.abs(np.abs(matrices[a].conj().T @ matrices[m]) ** 2 - 1.0 / d)))
+        for a in range(d + 1)
+        for m in range(a + 1, d + 1)
+    )
+    eigen = max(
+        _eigen_residual(basis_operator(dim, a).entries, matrices[a])
+        for a in range(d)
+    )
+    shift = max(
+        float(
+            np.max(
+                np.linalg.norm(
+                    z @ matrices[a] - matrices[a][:, (np.arange(d) - 1) % d], axis=0
+                )
+            )
+        )
+        for a in range(d)
+    )
+
+    passed = max(ortho, unbias, eigen, shift) < tol
+    return MubReport(ortho, unbias, eigen, shift, tol, passed)
+
+
+@pytest.mark.parametrize("d", PRIMES_TO_31)
+def test_verify_matches_the_full_pairwise_reference(d):
+    dim = Dimension(d)
+    reference = reference_verify(dim)
+    report = verify(dim)
+    # the docstring bound, 2(d-1) times the shift residual, plus rounding
+    # from summing each entry in a different order
+    bound = 2 * (d - 1) * reference.max_shift_residual + 4 * d * np.finfo(float).eps
+    for field in FIELDS:
+        assert abs(getattr(report, field) - getattr(reference, field)) <= bound, field
+    for tol in (1e-10, 1e-20):
+        assert verify(dim, tol).passed == reference_verify(dim, tol).passed
+
+
+def _sum_below(d: int, a: int) -> np.ndarray:
+    """A wrong s_k: 0 + 1 + ... + (k-1), the other end of the sum."""
+    k = np.arange(d)
+    s = k * (k - 1) // 2
+    exponents = -(np.outer(k, k) + a * s[:, None]) % d
+    return np.exp(2j * np.pi * exponents / d) / math.sqrt(d)
+
+
+def _assert_both_fail(monkeypatch, dim: Dimension, mutant) -> None:
+    original = mub.basis_matrix
+    monkeypatch.setattr(mub, "basis_matrix", lambda dim, a, **_: mutant(original, dim, a))
+    for check in (verify, reference_verify):
+        assert not check(dim, 1e-10).passed, check.__name__
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_wrong_s_k_fails_both_verifies(monkeypatch, d):
+    # B_a becomes B_{-a}: still a MUB set, shift-labelled, but not the
+    # eigenbasis of X Z^a
+    _assert_both_fail(
+        monkeypatch, Dimension(d),
+        lambda original, dim, a: _sum_below(d, a) if 0 < a < d else original(dim, a),
+    )
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+@pytest.mark.parametrize("a", [0, 1])
+def test_swapped_columns_fail_both_verifies(monkeypatch, d, a):
+    def mutant(original, dim, b):
+        matrix = original(dim, b)
+        if b == a:
+            matrix[:, [1, 2]] = matrix[:, [2, 1]]
+        return matrix
+
+    _assert_both_fail(monkeypatch, Dimension(d), mutant)
+
+
+@pytest.mark.parametrize("d", [2, 5])
+@pytest.mark.parametrize("where", ["first column", "last column", "Z basis"])
+def test_perturbed_column_fails_both_verifies(monkeypatch, d, where):
+    a, j = {"first column": (0, 0), "last column": (1, d - 1), "Z basis": (d, 1)}[where]
+
+    def mutant(original, dim, b):
+        matrix = original(dim, b)
+        if b == a:
+            matrix[:, j] += 1e-6
+        return matrix
+
+    _assert_both_fail(monkeypatch, Dimension(d), mutant)
+
+
+def test_conjugated_d2_seed_passes_both_verifies(monkeypatch):
+    # conjugating the i seed swaps the two labels of basis 1; at d = 2 the
+    # shift labelling Z|j>_1 = |j-1>_1 reads the same both ways, so neither
+    # verify can see it, and test_d2_special_basis is the check that does
+    dim = Dimension(2)
+    original = mub.basis_matrix
+    mutated = original(dim, 1).conj()
+    assert not np.allclose(mutated[:, 0], original(dim, 1)[:, 0])
+    monkeypatch.setattr(
+        mub, "basis_matrix", lambda dim, a, **_: mutated if a == 1 else original(dim, a)
+    )
+    assert verify(dim).passed and reference_verify(dim).passed
+
+
+def test_verify_is_five_times_faster_than_the_reference_at_d61():
+    dim = Dimension(61)
+    best = {verify: math.inf, reference_verify: math.inf}
+    for _ in range(3):  # interleaved, so a slow stretch of the host hits both
+        for check in best:
+            start = time.perf_counter()
+            check(dim)
+            best[check] = min(best[check], time.perf_counter() - start)
+    assert 5 * best[verify] < best[reference_verify]

@@ -73,6 +73,17 @@ def test_scripts_reject_invalid_input_without_traceback(script, argv, reason):
     assert f"{script}: error: {reason}" in proc.stderr
 
 
+@pytest.mark.parametrize("script, argv", [
+    ("cross_validate_sweep.py", ["--dims", "11", "--tol", "1e-20"]),
+    ("uniformity_sweep.py", ["--d", "13", "--trials", "100"]),
+])
+def test_scripts_exit_1_without_traceback_when_stdout_closes(script, argv):
+    from test_cli import read_head_then_close
+
+    code, stderr = read_head_then_close([sys.executable, str(REPO / "scripts" / script), *argv])
+    assert (code, stderr) == (1, "")
+
+
 def test_cross_validate_sweep_lists_disagreeing_cells(capsys, monkeypatch):
     from test_cli import one_disagreeing_report
 
