@@ -204,13 +204,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _pair(text: str) -> tuple[int, int]:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(
+            f"expected two comma-separated integers, got {text!r}"
+        )
     try:
-        a, b = map(int, text.split(","))  # a count other than two is a ValueError too
+        return int(parts[0]), int(parts[1])
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected two comma-separated integers, got {text!r}"
         ) from None
-    return a, b
 
 
 def parse_seed(text: str) -> int:
@@ -281,10 +285,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parameters(args: argparse.Namespace) -> dict:
     params: dict = {"d": args.d}
-    for name in ("axiom", "theorem", "measure", "trials", "seed", "tol"):
+    for name in ("axiom", "theorem"):
         value = getattr(args, name, None)
         if value is not None:
-            params[name] = list(value) if isinstance(value, tuple) else value
+            params[name] = list(value)
+    for name in ("measure", "trials", "seed", "tol"):
+        value = getattr(args, name, None)
+        if value is not None:
+            params[name] = value
     return params
 
 

@@ -50,12 +50,8 @@ class MubReport:
         )
 
 
-def basis_matrix(dim: Dimension, a: int, *, roots: np.ndarray | None = None) -> np.ndarray:
-    """B_a: the states |j>_a of basis a as columns; B_d is the identity.
-
-    A caller that builds many bases passes `roots`, eta^e for e = 0..d-1 (the
-    diagonal of Z), and spares each build the table.
-    """
+def basis_matrix(dim: Dimension, a: int) -> np.ndarray:
+    """B_a: the states |j>_a of basis a as columns; B_d is the identity."""
     d = dim.d
     if not 0 <= a <= d:
         raise ValueError(f"basis index {a} out of range [0, {d}]")
@@ -68,9 +64,8 @@ def basis_matrix(dim: Dimension, a: int, *, roots: np.ndarray | None = None) -> 
     k = np.arange(d)
     s = (d - k) * (d + k - 1) // 2  # s_k = k + (k+1) + ... + (d-1)
     exponents = -(np.outer(k, k) + a * s[:, None]) % d  # row k, column j
-    if roots is None:
-        roots = np.array([root_of_unity(dim, e) for e in range(d)])
-    return (1.0 / math.sqrt(d)) * roots[exponents]
+    eta = np.array([root_of_unity(dim, e) for e in range(d)])
+    return (1.0 / math.sqrt(d)) * eta[exponents]
 
 
 def basis_state(dim: Dimension, a: int, j: int) -> StateVector:
@@ -99,18 +94,21 @@ def verify(dim: Dimension, tol: float = 1e-10) -> MubReport:
     The reduction holds only because the shift check is part of `passed`:
     if the shift residual is eps, each overlap is within about 2(d-1) eps of
     its representative, and the two overlap fields are maxima over these
-    representatives.
+    representatives. The shift check covers only a < d; for B_d the reduction
+    assumes basis_matrix returns exactly the identity (the Z eigenbasis, each
+    state unchanged up to phase under Z), so only its column 0 is checked
+    for orthonormality and against the other bases.
     """
     d = dim.d
     k = np.arange(d)
     eta = pauli_z(dim).entries.diagonal()
     first = np.empty((d, d + 1), dtype=np.complex128)
     for m in range(d + 1):  # a column copied, not a view that keeps all of B_m
-        first[:, m] = basis_matrix(dim, m, roots=eta)[:, 0]
+        first[:, m] = basis_matrix(dim, m)[:, 0]
 
     ortho = unbias = eigen = shift = 0.0
     for a in range(d + 1):
-        basis = basis_matrix(dim, a, roots=eta)
+        basis = basis_matrix(dim, a)
         overlaps = basis.conj().T @ first
         deviations = np.abs(np.abs(np.delete(overlaps, a, axis=1)) ** 2 - 1.0 / d)
         ortho = max(ortho, float(np.max(np.abs(overlaps[:, a] - (k == 0)))))  # against e_0
