@@ -241,46 +241,66 @@ def parse_tolerance(text: str) -> float:
     return tol
 
 
-def build_parser() -> argparse.ArgumentParser:
+# every command's options after the shared --d and --format: name ->
+# (help, [(flag, add_argument keywords), ...]); both parser forms read it
+_SHARED = [
+    ("--d", dict(type=int, required=True, help="prime dimension")),
+    ("--format", dict(choices=("text", "machine"), default="text",
+                      help="output rendering (default: text)")),
+]
+_AXIOM = ("--axiom", dict(type=_pair, required=True, metavar="A,B"))
+_MEASURE = ("--measure", dict(type=int, required=True, metavar="M"))
+COMMANDS = {
+    "table": ("render the (d+1) x d partition table of function groups", []),
+    "verify-mub": ("verify the d+1 mutually unbiased bases numerically", [
+        ("--tol", dict(type=parse_tolerance, default=1e-10, help="pass tolerance")),
+    ]),
+    "decide": ("decide a theorem relative to an axiom by enumeration", [
+        _AXIOM, ("--theorem", dict(type=_pair, required=True, metavar="M,N")),
+    ]),
+    "probs": ("exact Born probabilities for an encoded axiom", [_AXIOM, _MEASURE]),
+    "run": ("seeded multi-trial sampling experiment", [
+        _AXIOM, _MEASURE,
+        ("--trials", dict(type=int, required=True)),
+        ("--seed", dict(type=parse_seed, required=True, help="in [0, 2**64)")),
+    ]),
+    "cross-validate": ("sweep all axiom/measurement cells for agreement", [
+        ("--tol", dict(type=parse_tolerance, default=1e-9, help="classification tolerance")),
+    ]),
+}
+
+
+def _add_options(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    for flag, keywords in _SHARED + COMMANDS[command][1]:
+        parser.add_argument(flag, **keywords)
+    return parser
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of one command, or with none the full parser.
+
+    A command's parser stands alone: it parses the arguments after the
+    command name, with the prog, options and messages of that command's
+    subparser in the full one. The full parser (the top level and every
+    subparser) is for argv that does not start with a command name.
+    """
+    if command is not None:
+        return _add_options(_Parser(prog=f"mublogic {command}"), command)
     parser = _Parser(prog="mublogic", description=__doc__.splitlines()[0])
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        sub = subparsers.add_parser(name, help=help_text)
-        sub.add_argument("--d", type=int, required=True, help="prime dimension")
-        sub.add_argument(
-            "--format",
-            choices=("text", "machine"),
-            default="text",
-            help="output rendering (default: text)",
-        )
-        return sub
-
-    add("table", "render the (d+1) x d partition table of function groups")
-
-    sub = add("verify-mub", "verify the d+1 mutually unbiased bases numerically")
-    sub.add_argument("--tol", type=parse_tolerance, default=1e-10, help="pass tolerance")
-
-    sub = add("decide", "decide a theorem relative to an axiom by enumeration")
-    sub.add_argument("--axiom", type=_pair, required=True, metavar="A,B")
-    sub.add_argument("--theorem", type=_pair, required=True, metavar="M,N")
-
-    sub = add("probs", "exact Born probabilities for an encoded axiom")
-    sub.add_argument("--axiom", type=_pair, required=True, metavar="A,B")
-    sub.add_argument("--measure", type=int, required=True, metavar="M")
-
-    sub = add("run", "seeded multi-trial sampling experiment")
-    sub.add_argument("--axiom", type=_pair, required=True, metavar="A,B")
-    sub.add_argument("--measure", type=int, required=True, metavar="M")
-    sub.add_argument("--trials", type=int, required=True)
-    sub.add_argument("--seed", type=parse_seed, required=True, help="in [0, 2**64)")
-
-    sub = add("cross-validate", "sweep all axiom/measurement cells for agreement")
-    sub.add_argument(
-        "--tol", type=parse_tolerance, default=1e-9, help="classification tolerance"
-    )
-
+    for name, (help_text, _) in COMMANDS.items():
+        _add_options(subparsers.add_parser(name, help=help_text), name)
     return parser
+
+
+def _parse_argv(argv: list[str]) -> argparse.Namespace:
+    """argv parsed as the full parser would, building only the parser it needs."""
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    if command is None:
+        return build_parser().parse_args(argv)
+    args = build_parser(command).parse_args(argv[1:])
+    args.command = command
+    return args
 
 
 def _parameters(args: argparse.Namespace) -> dict:
@@ -452,9 +472,8 @@ def _envelope(command: str, parameters: dict, status: str, payload, error_messag
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_argv(sys.argv[1:] if argv is None else list(argv))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

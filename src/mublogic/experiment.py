@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .devices import SEED_BOUND, born, measurement, outcomes, prepare, trial_uniforms
-from .logic import Proposition, label_counts
+from .logic import Proposition, label_count_matrix, label_counts
 from .modmath import Dimension
 
 ALPHA = 0.001
@@ -235,7 +235,7 @@ def cross_validate(dim: Dimension, tol: float = 1e-9) -> CrossReport:
             amplitudes = prepare(axiom).amplitudes
             # row m: the Born probabilities and the label counts of cell (axiom, m)
             probabilities = np.stack([measure[m](amplitudes) for m in range(d + 1)])
-            counts = np.stack([label_counts(axiom, m) for m in range(d + 1)])
+            counts = label_count_matrix(axiom)
             observed = _behavior_codes(
                 probabilities > 1.0 - tol, np.abs(probabilities - 1.0 / d) <= tol
             )

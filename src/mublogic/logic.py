@@ -161,6 +161,16 @@ def label_counts(axiom: Proposition, m: int) -> np.ndarray:
     return np.bincount(labels, minlength=d)
 
 
+def label_count_matrix(axiom: Proposition) -> np.ndarray:
+    """(d+1, d) array whose row m is label_counts(axiom, m), from one group build."""
+    d = axiom.dim.d
+    f0, f1 = group_arrays(axiom.a, axiom.b, d)
+    labels = np.vstack([(f1 - np.arange(d)[:, None] * f0) % d, f0])
+    # row m's labels offset by m d, so one bincount counts every row
+    offsets = np.arange(0, (d + 1) * d, d)[:, None]
+    return np.bincount((labels + offsets).ravel(), minlength=(d + 1) * d).reshape(d + 1, d)
+
+
 def decide(axiom: Proposition, theorem: Proposition) -> Decidability:
     """Brute-force decidability of theorem relative to axiom.
 

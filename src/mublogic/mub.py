@@ -9,7 +9,8 @@ with exponents reduced mod d (Wootters & Fields 1989, Ann. Phys. 191, 363).
 The labeling convention is fixed by the Z-shift property
 Z|j>_a = |j-1 mod d>_a (exact, no phase), which the encoding layer relies
 on. basis_matrix() builds B_a, the d x d matrix with |j>_a as column j, in
-one step; every other function here reads the bases from it.
+one step; basis_state() computes its column j alone, by the same formula,
+bit for bit; verify() reads the bases from basis_matrix().
 
 d = 2 needs one special case: the integer-exponent formula cannot produce
 the X Z eigenbasis (that basis has imaginary components), so basis a = 1 is
@@ -52,28 +53,40 @@ class MubReport:
 
 def basis_matrix(dim: Dimension, a: int) -> np.ndarray:
     """B_a: the states |j>_a of basis a as columns; B_d is the identity."""
-    d = dim.d
-    if not 0 <= a <= d:
-        raise ValueError(f"basis index {a} out of range [0, {d}]")
-    if a == d:
-        return np.eye(d, dtype=np.complex128)
-    if d == 2 and a == 1:
-        # |j>_1 = Z^(-j) |0>_1 with |0>_1 = (|0> + i|1>)/sqrt(2)
-        half = 1.0 / math.sqrt(2.0)
-        return np.array([[half, half], [1j * half, -1j * half]])
-    k = np.arange(d)
-    s = (d - k) * (d + k - 1) // 2  # s_k = k + (k+1) + ... + (d-1)
-    exponents = -(np.outer(k, k) + a * s[:, None]) % d  # row k, column j
-    eta = np.array([root_of_unity(dim, e) for e in range(d)])
-    return (1.0 / math.sqrt(d)) * eta[exponents]
+    _check_index(dim, a)
+    return _columns(dim, a, np.arange(dim.d))
 
 
 def basis_state(dim: Dimension, a: int, j: int) -> StateVector:
-    """State |j>_a of basis a; basis a = d is the computational basis."""
-    matrix = basis_matrix(dim, a)
+    """State |j>_a of basis a; basis a = d is the computational basis.
+
+    Only column j is computed; its bits are those of basis_matrix(dim, a)[:, j].
+    """
+    _check_index(dim, a)
     if not 0 <= j < dim.d:
         raise ValueError(f"state label {j} out of range [0, {dim.d})")
-    return StateVector(matrix[:, j], dim)
+    return StateVector(_columns(dim, a, np.array([j]))[:, 0], dim)
+
+
+def _check_index(dim: Dimension, a: int) -> None:
+    if not 0 <= a <= dim.d:
+        raise ValueError(f"basis index {a} out of range [0, {dim.d}]")
+
+
+def _columns(dim: Dimension, a: int, j: np.ndarray) -> np.ndarray:
+    """Columns j (an int array) of B_a; no entry's bits depend on which j are asked for."""
+    d = dim.d
+    k = np.arange(d)[:, None]
+    if a == d:
+        return (k == j).astype(np.complex128)
+    if d == 2 and a == 1:
+        # |j>_1 = Z^(-j) |0>_1 with |0>_1 = (|0> + i|1>)/sqrt(2)
+        half = 1.0 / math.sqrt(2.0)
+        return np.array([[half, half], [1j * half, -1j * half]]).take(j, axis=1)
+    s = (d - k) * (d + k - 1) // 2  # s_k = k + (k+1) + ... + (d-1)
+    exponents = -(k * j + a * s) % d  # row k, column j
+    eta = np.array([root_of_unity(dim, e) for e in range(d)])
+    return (1.0 / math.sqrt(d)) * eta[exponents]
 
 
 def verify(dim: Dimension, tol: float = 1e-10) -> MubReport:
@@ -94,10 +107,10 @@ def verify(dim: Dimension, tol: float = 1e-10) -> MubReport:
     The reduction holds only because the shift check is part of `passed`:
     if the shift residual is eps, each overlap is within about 2(d-1) eps of
     its representative, and the two overlap fields are maxima over these
-    representatives. The shift check covers only a < d; for B_d the reduction
-    assumes basis_matrix returns exactly the identity (the Z eigenbasis, each
-    state unchanged up to phase under Z), so only its column 0 is checked
-    for orthonormality and against the other bases.
+    representatives. The shift check covers only a < d; B_d is instead
+    checked to be the identity (the Z eigenbasis, each state |j> labelled
+    j), entry by entry, and max|B_d - I| is part of the orthonormality
+    deviation. So a relabelled or repeated Z-basis state fails.
     """
     d = dim.d
     k = np.arange(d)
@@ -114,6 +127,7 @@ def verify(dim: Dimension, tol: float = 1e-10) -> MubReport:
         ortho = max(ortho, float(np.max(np.abs(overlaps[:, a] - (k == 0)))))  # against e_0
         unbias = max(unbias, float(np.max(deviations)))
         if a == d:
+            ortho = max(ortho, float(np.max(np.abs(basis - np.eye(d)))))
             continue
         # X Z^a B_a: row k scaled by eta^(a k), then rolled down one row
         image = np.roll(eta[(a * k) % d, None] * basis, 1, axis=0)

@@ -158,12 +158,21 @@ def test_cross_validate_cells_equal_per_cell_reference(d, tol):
 
 @pytest.mark.parametrize("d", [2, 5])
 def test_cross_validate_flags_a_wrong_forecast_like_the_reference(d, monkeypatch):
-    # a broken logic route: at m = 0 every count moves to the next outcome
-    counts = logic.label_counts
+    # a broken logic route: at m = 0 every count moves to the next outcome,
+    # in label_counts (read by the reference) and in the per-axiom matrix
+    # (read by cross_validate) alike
+    counts, matrix = logic.label_counts, logic.label_count_matrix
+
+    def rolled_matrix(axiom):
+        rows = matrix(axiom)
+        rows[0] = np.roll(rows[0], 1)
+        return rows
+
     for module in (logic, experiment):
         monkeypatch.setattr(
             module, "label_counts", lambda axiom, m: np.roll(counts(axiom, m), 1 if m == 0 else 0)
         )
+    monkeypatch.setattr(experiment, "label_count_matrix", rolled_matrix)
     report = cross_validate(Dimension(d))
     assert report.disagreements == d
     assert_cells_equal_per_cell_reference(Dimension(d), 1e-9)

@@ -1,6 +1,8 @@
 """CLI surface: golden table, envelopes, exit codes, schema conformance."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -10,10 +12,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from mublogic import cli
 from mublogic.cli import MAX_D, MAX_TABLE_D, MAX_TRIALS, main, to_json
 from mublogic.logic import partition_array
 from mublogic.modmath import Dimension, is_prime
+from test_golden import golden_argvs
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN_TABLE_D3 = REPO / "tests" / "golden" / "table_d3.txt"
@@ -299,7 +305,11 @@ def test_out_of_range_residue_envelope(capsys, argv, envelope):
     assert capsys.readouterr().out == envelope + "\n"
 
 
-@pytest.mark.parametrize("seed", ["-1", str(2**64), str(5 + 2**64), "five"])
+BAD_SEEDS = ["-1", str(2**64), str(5 + 2**64), "five"]
+BAD_TOLERANCES = ["nan", "inf", "0", "-1", "tiny"]
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS)
 def test_run_seed_outside_64_bit_range_is_usage_error(capsys, seed):
     code = main(["run", "--d", "3", "--axiom", "0,0", "--measure", "1",
                  "--trials", "10", "--seed", seed, "--format", "machine"])
@@ -318,7 +328,7 @@ def test_run_seed_range_bounds_are_accepted(capsys):
 
 
 @pytest.mark.parametrize("command", ["verify-mub", "cross-validate"])
-@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1", "tiny"])
+@pytest.mark.parametrize("tol", BAD_TOLERANCES)
 def test_tolerance_must_be_finite_and_positive(capsys, command, tol):
     code = main([command, "--d", "3", "--tol", tol, "--format", "machine"])
     captured = capsys.readouterr()
@@ -498,3 +508,187 @@ def test_cross_validate_text_names_each_disagreeing_cell(capsys, monkeypatch):
         "  DISAGREE axiom {1,2} m=0: predicted uniform, observed mixed",
         "FAIL",
     ]
+
+
+# ---------------------------------------------------------------------------
+# argument parsing: argv that starts with a command name is parsed by that
+# command's parser alone; the full parser (top level plus every subparser)
+# is the reference it must match
+
+
+def parse_outcome(parse, argv):
+    """What parsing argv does: the Namespace as a dict or the usage error
+    text, then the exit code of a help exit, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    result, code = None, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except cli.UsageError as exc:
+            result = f"usage error: {exc}"
+        except SystemExit as exc:
+            code = exc.code
+    return result, code, out.getvalue(), err.getvalue()
+
+
+def assert_parsed_as_by_the_full_parser(argv):
+    lean = parse_outcome(cli._parse_argv, argv)
+    full = parse_outcome(lambda argv: cli.build_parser().parse_args(argv), argv)
+    assert lean == full
+
+
+def invalid_argvs():
+    """No argument at all, and every argv the tests above expect to fail,
+    in parsing or after it."""
+    argvs = [
+        [],
+        ["decide", "--d", "3", "--axiom", "1,1"],
+        ["probs", "--d", "3", "--axiom", "9,9", "--measure", "0"],
+        ["nope"],
+        ["table", "--d", "4"],
+        ["table", "--d", "11"],
+        ["verify-mub", "--d", "9"],
+        ["verify-mub", "--d", "3", "--tol", "1e-20"],
+    ]
+    argvs += [list(argv) for argv, _ in OUT_OF_RANGE_ENVELOPES]
+    argvs += [
+        ["run", "--d", "3", "--axiom", "0,0", "--measure", "1", "--trials", "10", "--seed", seed]
+        for seed in BAD_SEEDS
+    ]
+    argvs += [
+        [command, "--d", "3", "--tol", tol]
+        for command in ("verify-mub", "cross-validate")
+        for tol in BAD_TOLERANCES
+    ]
+    argvs += [
+        [command, "--d", str(d), *BUDGET_ARGS[command]]
+        for command in BUDGET_ARGS
+        for d in (MAX_D[command] + 1, 2**61 - 1)
+    ]
+    argvs.append(["run", "--d", "3", "--axiom", "0,0", "--measure", "1",
+                  "--trials", "10000001", "--seed", "1"])
+    return [argv + tail for argv in argvs for tail in ([], ["--format", "machine"])]
+
+
+def test_golden_argvs_parse_as_by_the_full_parser():
+    for argv in golden_argvs():
+        assert_parsed_as_by_the_full_parser(argv)
+
+
+@pytest.mark.parametrize("argv", invalid_argvs(), ids=" ".join)
+def test_invalid_argvs_parse_as_by_the_full_parser(argv):
+    assert_parsed_as_by_the_full_parser(argv)
+
+
+# per option a good value first, then bad ones
+OPTION_VALUES = {
+    "--d": ["3", "7", "4", "x", "-3", "2.5", ""],
+    "--format": ["machine", "text", "json"],
+    "--tol": ["1e-9", "0", "nan", "tiny"],
+    "--axiom": ["1,1", "0,5", "1", "a,b", "1,2,3", "-1,0"],
+    "--theorem": ["1,0", "3,0", "1,", "x"],
+    "--measure": ["2", "0", "x", "-1"],
+    "--trials": ["10", "0", "ten"],
+    "--seed": ["0", "-1", str(2**64), "five"],
+}
+ABBREVIATED = {"--d": "--d", "--format": "--form", "--tol": "--to", "--axiom": "--ax",
+               "--theorem": "--theo", "--measure": "--meas", "--trials": "--tr", "--seed": "--se"}
+COMMAND_OPTIONS = {
+    "table": ["--d", "--format"],
+    "verify-mub": ["--d", "--format", "--tol"],
+    "decide": ["--d", "--format", "--axiom", "--theorem"],
+    "probs": ["--d", "--format", "--axiom", "--measure"],
+    "run": ["--d", "--format", "--axiom", "--measure", "--trials", "--seed"],
+    "cross-validate": ["--d", "--format", "--tol"],
+}
+# tokens no command takes where they land: stray positionals, names that are
+# ambiguous (--t in run), unknown or short, a bare "--" and a help flag
+STRAY = ["3", "extra", "decide", "--t", "--f", "--x", "-d", "--", "-h"]
+# good forms of an option outweigh the broken ones, so many argvs parse
+FORMS = ["good"] * 10 + ["abbreviated", "joined", "bad", "missing", "without value"]
+
+
+@st.composite
+def argv_strategy(draw):
+    """A command's options in a drawn order, each good, abbreviated, joined
+    with =, given a bad value, missing, or missing its value; then stray
+    tokens. The first token is sometimes not a command at all."""
+    first = draw(st.sampled_from([*COMMAND_OPTIONS] * 3 + ["nope", "dec", "--d", "--format"]))
+    options = COMMAND_OPTIONS.get(first, ["--d", "--format"])
+    argv = [first]
+    for name in draw(st.permutations(options)):
+        form = draw(st.sampled_from(FORMS))
+        good, *bad = OPTION_VALUES[name]
+        value = draw(st.sampled_from(bad)) if form == "bad" else good
+        argv += {
+            "good": [name, value], "bad": [name, value], "missing": [],
+            "abbreviated": [ABBREVIATED[name], value], "joined": [f"{name}={value}"],
+            "without value": [name],
+        }[form]
+    argv += draw(st.lists(st.sampled_from(STRAY), max_size=2))
+    return argv
+
+
+@given(argv_strategy())
+def test_generated_argvs_parse_as_by_the_full_parser(argv):
+    assert_parsed_as_by_the_full_parser(argv)
+
+
+# sha256 of each help text (stdout) at 80 columns, recorded before a command's
+# parser was built on its own
+HELP_SHA256 = {
+    "": "5edfe9621b134da241d4276d0ebd5e33f6044a92c601cfbdc81b08f03f818571",
+    "table": "c569ba38fbef753387c77d35d653dc7b6f2098af8b7583c115e7ffd5ec38d067",
+    "verify-mub": "34df3223665382ea4aadca2cf03aa62fb9ffab3f8967e511c5b549b0930928b5",
+    "decide": "de449eb2f47a816e32be0fa9012903feac289853ec997b015f17c0c1d4d019ad",
+    "probs": "8cea6712e0e72b8c739db322abd5f84b58a034ee44c32462e491594fa767a804",
+    "run": "0e621afe33e7fdfb5bf951b21831d72372a630506a85c9012a5f386185351c06",
+    "cross-validate": "f5a39d778d7292ed41a022ac0e5522eb94a38b316f4bbe3943016fe808c13ce4",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_SHA256))
+def test_help_is_pinned_and_the_full_parsers(monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [command, "--help"] if command else ["--help"]
+    _, code, out, err = parse_outcome(cli._parse_argv, argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[command]
+    assert_parsed_as_by_the_full_parser(argv)
+
+
+def constructed_parsers(monkeypatch, argv) -> list:
+    """The prog of every _Parser that main(argv) constructs."""
+    progs = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.suppress(SystemExit):
+            main(argv)
+    return progs
+
+
+@pytest.mark.parametrize("command", sorted(BUDGET_ARGS))
+def test_a_command_builds_only_its_own_parser(monkeypatch, command):
+    for tail in ([*BUDGET_ARGS[command], "--d", "2"], ["--d", "x"], ["--help"]):
+        progs = constructed_parsers(monkeypatch, [command, *tail])
+        assert progs == [f"mublogic {command}"]
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["nope"], ["--d", "3", "table"]], ids=str)
+def test_argv_without_a_command_builds_the_full_parser(monkeypatch, argv):
+    progs = constructed_parsers(monkeypatch, argv)
+    assert progs == ["mublogic", *(f"mublogic {name}" for name in cli.COMMANDS)]
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    argv = ["decide", "--d", "3", "--axiom", "1,1", "--theorem", "2,0", "--format", "machine"]
+    expected = invoke(capsys, *argv)
+    monkeypatch.setattr(sys, "argv", ["mublogic", *argv])
+    assert main() == expected[0]
+    assert capsys.readouterr().out == expected[1]

@@ -23,7 +23,7 @@ from mublogic.devices import (
 from mublogic.experiment import ExperimentConfig, run
 from mublogic.logic import BinaryFunction, Proposition, group, outcome_multiplicities
 from mublogic.modmath import Dimension
-from mublogic.mub import basis_state
+from mublogic.mub import basis_matrix, basis_state
 from mublogic.qlinalg import (
     compose,
     identity,
@@ -106,14 +106,17 @@ def test_group_members_encode_same_state(d):
 PRIMES_TO_31 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
 
-@pytest.mark.parametrize("d", PRIMES_TO_31)
+@pytest.mark.parametrize("d", PRIMES_TO_31 + [53, 97])
 def test_prepare_is_the_column_of_b_a_that_b_names(d):
+    # basis_state computes column j alone; its bits are those of B_a's column
     dim = Dimension(d)
     for a in range(d + 1):
+        matrix = basis_matrix(dim, a)
         for b in range(d):
             j = b if a == d else (-b) % d
             state = prepare(Proposition.of(a, b, dim))
             assert state.amplitudes.tobytes() == basis_state(dim, a, j).amplitudes.tobytes()
+            assert state.amplitudes.tobytes() == matrix[:, j].tobytes()
 
 
 @pytest.mark.parametrize("d", PRIMES_TO_31)

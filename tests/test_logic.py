@@ -6,6 +6,7 @@ relation directly, independent of the constructive group() loop.
 
 import itertools
 
+import numpy as np
 import pytest
 
 from mublogic.logic import (
@@ -17,10 +18,12 @@ from mublogic.logic import (
     group,
     holds,
     intersect,
+    label_count_matrix,
+    label_counts,
     outcome_multiplicities,
     partition_table,
 )
-from mublogic.modmath import Dimension, DimensionMismatch
+from mublogic.modmath import Dimension, DimensionMismatch, is_prime
 
 PRIMES = [2, 3, 5, 7]
 
@@ -223,3 +226,14 @@ def test_functions_and_propositions_of_different_dimensions_do_not_mix():
     with pytest.raises(DimensionMismatch):
         decide(Proposition.of(0, 0, D3), Proposition.of(0, 0, d5))
     assert BinaryFunction.from_values(1, 2, D3) != BinaryFunction.from_values(1, 2, d5)
+
+
+@pytest.mark.parametrize("d", [p for p in range(2, 32) if is_prime(p)])
+def test_label_count_matrix_stacks_label_counts(d):
+    dim = Dimension(d)
+    for a in range(d + 1):
+        for b in range(d):
+            axiom = Proposition.of(a, b, dim)
+            matrix = label_count_matrix(axiom)
+            stacked = np.stack([label_counts(axiom, m) for m in range(d + 1)])
+            assert matrix.dtype == stacked.dtype and np.array_equal(matrix, stacked), (a, b)

@@ -260,6 +260,31 @@ def test_perturbed_column_fails_both_verifies(monkeypatch, d, where):
     _assert_both_fail(monkeypatch, Dimension(d), mutant)
 
 
+@pytest.mark.parametrize("columns", [[2, 1], [1, 1]], ids=["swapped", "repeated"])
+def test_relabelled_z_basis_fails_verify(monkeypatch, columns):
+    # columns 1 and 2 of B_d swapped keep every overlap, so the pairwise
+    # reference passes; made equal, they break its orthonormality too
+    dim = Dimension(5)
+    original = mub.basis_matrix
+
+    def mutant(dim, a, **_):
+        matrix = original(dim, a)
+        if a == dim.d:
+            matrix[:, [1, 2]] = matrix[:, columns]
+        return matrix
+
+    monkeypatch.setattr(mub, "basis_matrix", mutant)
+    report = verify(dim)
+    assert not report.passed and report.max_orthonormality_deviation == 1.0
+    assert reference_verify(dim).passed is (columns == [2, 1])
+
+
+def test_z_basis_is_exactly_the_identity():
+    for d in PRIMES_TO_31:
+        identity = np.eye(d, dtype=np.complex128)
+        assert basis_matrix(Dimension(d), d).tobytes() == identity.tobytes()
+
+
 def test_conjugated_d2_seed_passes_both_verifies(monkeypatch):
     # conjugating the i seed swaps the two labels of basis 1; at d = 2 the
     # shift labelling Z|j>_1 = |j-1>_1 reads the same both ways, so neither
