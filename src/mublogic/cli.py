@@ -41,13 +41,14 @@ SCHEMA_VERSION = "1.0.0"
 MAX_TEXT_TABLE_D = 7
 # size budgets per command, checked before any work, so that a huge --d or
 # --trials fails fast with one error envelope. `table` is bound by its
-# envelope (2 d**2 (d+1) ints, about 10 MB at d = 101), `verify-mub` and
+# envelope (2 d**2 (d+1) ints, about 10 MB at d = 101), `verify-mub` by a 5 s
+# run (d = 311: 4.8 s end to end, 1 BLAS thread, 2-vCPU VM; 313: up to 5.1 s),
 # `cross-validate` by time, `probs` and `run` by their d x d basis matrices,
 # `decide` by its primality test and group arrays, and --trials by time
 MAX_TABLE_D = 101
 MAX_D = {
     "table": MAX_TABLE_D,
-    "verify-mub": 211,
+    "verify-mub": 311,
     "decide": 2**20,
     "probs": 1009,
     "run": 1009,

@@ -20,9 +20,10 @@ from enum import Enum
 
 import numpy as np
 
-from .devices import SEED_BOUND, born, measurement, outcomes, prepare, trial_uniforms
+from .devices import SEED_BOUND, _column, born, measurement, outcomes, prepare, trial_uniforms
 from .logic import Proposition, label_count_matrix, label_counts
 from .modmath import Dimension
+from .mub import basis_matrix
 
 ALPHA = 0.001
 
@@ -230,9 +231,10 @@ def cross_validate(dim: Dimension, tol: float = 1e-9) -> CrossReport:
     settings = np.arange(d + 1)
     cells = []
     for a in range(d + 1):
+        states = basis_matrix(dim, a)  # prepare() of axiom {a, b} is one of its columns
         for b in range(d):
             axiom = Proposition.of(a, b, dim)
-            amplitudes = prepare(axiom).amplitudes
+            amplitudes = np.ascontiguousarray(states[:, _column(b, a, d)])
             # row m: the Born probabilities and the label counts of cell (axiom, m)
             probabilities = np.stack([measure[m](amplitudes) for m in range(d + 1)])
             counts = label_count_matrix(axiom)

@@ -10,7 +10,7 @@ The labeling convention is fixed by the Z-shift property
 Z|j>_a = |j-1 mod d>_a (exact, no phase), which the encoding layer relies
 on. basis_matrix() builds B_a, the d x d matrix with |j>_a as column j, in
 one step; basis_state() computes its column j alone, by the same formula,
-bit for bit; verify() reads the bases from basis_matrix().
+bit for bit; verify() builds its columns the same way, from one eta table.
 
 d = 2 needs one special case: the integer-exponent formula cannot produce
 the X Z eigenbasis (that basis has imaginary components), so basis a = 1 is
@@ -73,8 +73,13 @@ def _check_index(dim: Dimension, a: int) -> None:
         raise ValueError(f"basis index {a} out of range [0, {dim.d}]")
 
 
-def _columns(dim: Dimension, a: int, j: np.ndarray) -> np.ndarray:
-    """Columns j (an int array) of B_a; no entry's bits depend on which j are asked for."""
+def _roots(dim: Dimension) -> np.ndarray:  # eta^e for e = 0..d-1
+    return np.array([root_of_unity(dim, e) for e in range(dim.d)])
+
+
+def _columns(dim: Dimension, a: int, j: np.ndarray, eta=None) -> np.ndarray:
+    """Columns j (an int array) of B_a, from eta = _roots(dim) (built here if
+    not given); no entry's bits depend on which j are asked for."""
     d = dim.d
     k = np.arange(d)[:, None]
     if a == d:
@@ -85,7 +90,8 @@ def _columns(dim: Dimension, a: int, j: np.ndarray) -> np.ndarray:
         return np.array([[half, half], [1j * half, -1j * half]]).take(j, axis=1)
     s = (d - k) * (d + k - 1) // 2  # s_k = k + (k+1) + ... + (d-1)
     exponents = -(k * j + a * s) % d  # row k, column j
-    eta = np.array([root_of_unity(dim, e) for e in range(d)])
+    if eta is None:
+        eta = _roots(dim)
     return (1.0 / math.sqrt(d)) * eta[exponents]
 
 
@@ -102,7 +108,9 @@ def verify(dim: Dimension, tol: float = 1e-10) -> MubReport:
     B_m one modulus. So with F the d x (d+1) matrix of first columns
     B_m[:, 0], G = B_a^dagger F holds every distinct overlap of basis a:
     column a for orthonormality, the others for unbiasedness (a pair a < d
-    read at a = d, where G is F). One B_a is built at a time, O(d^4) in all.
+    read at a = d, where G is F). Each B_a is built once, one at a time,
+    O(d^4) in all, and F from one column of each, all from one table of the
+    d roots of unity per call that also gives the phases of X Z^a and Z.
 
     The reduction holds only because the shift check is part of `passed`:
     if the shift residual is eps, each overlap is within about 2(d-1) eps of
@@ -114,14 +122,12 @@ def verify(dim: Dimension, tol: float = 1e-10) -> MubReport:
     """
     d = dim.d
     k = np.arange(d)
-    eta = pauli_z(dim).entries.diagonal()
-    first = np.empty((d, d + 1), dtype=np.complex128)
-    for m in range(d + 1):  # a column copied, not a view that keeps all of B_m
-        first[:, m] = basis_matrix(dim, m)[:, 0]
+    eta = _roots(dim)
+    first = np.hstack([_columns(dim, m, k[:1], eta) for m in range(d + 1)])
 
     ortho = unbias = eigen = shift = 0.0
     for a in range(d + 1):
-        basis = basis_matrix(dim, a)
+        basis = _columns(dim, a, k, eta)
         overlaps = basis.conj().T @ first
         deviations = np.abs(np.abs(np.delete(overlaps, a, axis=1)) ** 2 - 1.0 / d)
         ortho = max(ortho, float(np.max(np.abs(overlaps[:, a] - (k == 0)))))  # against e_0

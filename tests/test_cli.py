@@ -126,7 +126,7 @@ BUDGET_ARGS = {
 
 def test_size_budgets():
     assert MAX_D == {
-        "table": 101, "verify-mub": 211, "decide": 2**20,
+        "table": 101, "verify-mub": 311, "decide": 2**20,
         "probs": 1009, "run": 1009, "cross-validate": 31,
     }
     assert MAX_TRIALS == 10_000_000

@@ -2,6 +2,7 @@
 
 import pytest
 
+from mublogic import devices, mub
 from mublogic.experiment import (
     ALPHA,
     CHI2_CRITICAL_001,
@@ -168,3 +169,24 @@ def test_cross_validate_cell_detail():
 def test_cross_validate_rejects_oversized_d():
     with pytest.raises(ValueError):
         cross_validate(Dimension(37))
+
+
+@pytest.mark.parametrize("d", [2, 3, 13])
+def test_cross_validate_builds_each_basis_twice_and_no_single_state(monkeypatch, d):
+    # d+1 bases for the states, d+1 for the measurements; every build asks
+    # for all d columns, so no basis_state (one column) is among them
+    widths = []
+    columns = mub._columns
+
+    def counting(dim, a, j, eta=None):
+        widths.append(len(j))
+        return columns(dim, a, j, eta)
+
+    def no_state(*args):
+        raise AssertionError("basis_state called")
+
+    monkeypatch.setattr(mub, "_columns", counting)
+    monkeypatch.setattr(mub, "basis_state", no_state)
+    monkeypatch.setattr(devices, "basis_state", no_state)
+    cross_validate(Dimension(d))
+    assert widths == [d] * (2 * (d + 1))

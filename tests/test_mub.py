@@ -7,10 +7,10 @@ import time
 import numpy as np
 import pytest
 
-from mublogic import mub
+from mublogic import mub, qlinalg
 from mublogic.modmath import Dimension, is_prime
 from mublogic.mub import MubReport, basis_matrix, basis_operator, basis_state, verify
-from mublogic.qlinalg import apply, inner, ket, pauli_z
+from mublogic.qlinalg import apply, inner, ket, pauli_z, root_of_unity
 
 PRIMES = [2, 3, 5]
 PRIMES_TO_31 = [p for p in range(2, 32) if is_prime(p)]
@@ -150,8 +150,9 @@ def test_basis_zero_is_ket_like_for_pin_row():
 
 # ---------------------------------------------------------------------------
 # verify() reads one representative column per basis pair; the reference
-# below is the full pairwise check it replaced, O(d^5). Both look the bases
-# up as mub.basis_matrix, so a monkeypatched mutant reaches both.
+# below is the full pairwise check it replaced, O(d^5). Both build their
+# columns through mub._columns (verify directly, the reference through
+# basis_matrix), so a mutant patched in there reaches both.
 
 
 def _eigen_residual(op: np.ndarray, basis: np.ndarray) -> float:
@@ -209,6 +210,63 @@ def test_verify_matches_the_full_pairwise_reference(d):
         assert verify(dim, tol).passed == reference_verify(dim, tol).passed
 
 
+def two_build_verify(dim: Dimension, tol: float = 1e-10) -> MubReport:
+    """verify() with every basis from basis_matrix: F from whole builds, each
+    B_a built again in the loop, eta from pauli_z. verify() matches it bit
+    for bit."""
+    d = dim.d
+    k = np.arange(d)
+    eta = pauli_z(dim).entries.diagonal()
+    first = np.empty((d, d + 1), dtype=np.complex128)
+    for m in range(d + 1):
+        first[:, m] = basis_matrix(dim, m)[:, 0]
+
+    ortho = unbias = eigen = shift = 0.0
+    for a in range(d + 1):
+        basis = basis_matrix(dim, a)
+        overlaps = basis.conj().T @ first
+        deviations = np.abs(np.abs(np.delete(overlaps, a, axis=1)) ** 2 - 1.0 / d)
+        ortho = max(ortho, float(np.max(np.abs(overlaps[:, a] - (k == 0)))))
+        unbias = max(unbias, float(np.max(deviations)))
+        if a == d:
+            ortho = max(ortho, float(np.max(np.abs(basis - np.eye(d)))))
+            continue
+        image = np.roll(eta[(a * k) % d, None] * basis, 1, axis=0)
+        eigenvalues = np.sum(basis.conj() * image, axis=0)
+        residuals = np.linalg.norm(image - basis * eigenvalues, axis=0)
+        eigen = max(eigen, float(np.max(residuals)))
+        residuals = np.linalg.norm(eta[:, None] * basis - basis[:, k - 1], axis=0)
+        shift = max(shift, float(np.max(residuals)))
+
+    passed = max(ortho, unbias, eigen, shift) < tol
+    return MubReport(ortho, unbias, eigen, shift, tol, passed)
+
+
+@pytest.mark.parametrize("d", [p for p in range(2, 102) if is_prime(p)])
+def test_verify_is_bit_identical_to_the_two_build_algorithm(d):
+    dim = Dimension(d)
+    for tol in (1e-10, 1e-20):
+        report, reference = verify(dim, tol), two_build_verify(dim, tol)
+        for field in FIELDS:
+            assert getattr(report, field).hex() == getattr(reference, field).hex(), field
+        assert report.passed == reference.passed
+
+
+@pytest.mark.parametrize("d", [2, 3, 31, 97])
+def test_verify_builds_one_table_of_roots(monkeypatch, d):
+    calls = []
+
+    def counting(dim, e):
+        calls.append(e)
+        return root_of_unity(dim, e)
+
+    # mub and pauli_z each look root_of_unity up in their own module
+    monkeypatch.setattr(mub, "root_of_unity", counting)
+    monkeypatch.setattr(qlinalg, "root_of_unity", counting)
+    verify(Dimension(d))
+    assert sorted(calls) == list(range(d))
+
+
 def _sum_below(d: int, a: int) -> np.ndarray:
     """A wrong s_k: 0 + 1 + ... + (k-1), the other end of the sum."""
     k = np.arange(d)
@@ -217,9 +275,21 @@ def _sum_below(d: int, a: int) -> np.ndarray:
     return np.exp(2j * np.pi * exponents / d) / math.sqrt(d)
 
 
+def _patch_bases(monkeypatch, mutant) -> None:
+    """Serve every column of B_a from mutant(original, dim, a), a whole matrix,
+    where original(dim, a) is the unpatched B_a."""
+    columns = mub._columns
+
+    def original(dim, a):
+        return columns(dim, a, np.arange(dim.d))
+
+    monkeypatch.setattr(
+        mub, "_columns", lambda dim, a, j, eta=None: mutant(original, dim, a)[:, j]
+    )
+
+
 def _assert_both_fail(monkeypatch, dim: Dimension, mutant) -> None:
-    original = mub.basis_matrix
-    monkeypatch.setattr(mub, "basis_matrix", lambda dim, a, **_: mutant(original, dim, a))
+    _patch_bases(monkeypatch, mutant)
     for check in (verify, reference_verify):
         assert not check(dim, 1e-10).passed, check.__name__
 
@@ -265,15 +335,14 @@ def test_relabelled_z_basis_fails_verify(monkeypatch, columns):
     # columns 1 and 2 of B_d swapped keep every overlap, so the pairwise
     # reference passes; made equal, they break its orthonormality too
     dim = Dimension(5)
-    original = mub.basis_matrix
 
-    def mutant(dim, a, **_):
+    def mutant(original, dim, a):
         matrix = original(dim, a)
         if a == dim.d:
             matrix[:, [1, 2]] = matrix[:, columns]
         return matrix
 
-    monkeypatch.setattr(mub, "basis_matrix", mutant)
+    _patch_bases(monkeypatch, mutant)
     report = verify(dim)
     assert not report.passed and report.max_orthonormality_deviation == 1.0
     assert reference_verify(dim).passed is (columns == [2, 1])
@@ -290,13 +359,27 @@ def test_conjugated_d2_seed_passes_both_verifies(monkeypatch):
     # shift labelling Z|j>_1 = |j-1>_1 reads the same both ways, so neither
     # verify can see it, and test_d2_special_basis is the check that does
     dim = Dimension(2)
-    original = mub.basis_matrix
-    mutated = original(dim, 1).conj()
-    assert not np.allclose(mutated[:, 0], original(dim, 1)[:, 0])
-    monkeypatch.setattr(
-        mub, "basis_matrix", lambda dim, a, **_: mutated if a == 1 else original(dim, a)
+    mutated = basis_matrix(dim, 1).conj()
+    assert not np.allclose(mutated[:, 0], basis_matrix(dim, 1)[:, 0])
+    _patch_bases(
+        monkeypatch, lambda original, dim, a: mutated if a == 1 else original(dim, a)
     )
+    assert np.array_equal(basis_matrix(dim, 1), mutated)
     assert verify(dim).passed and reference_verify(dim).passed
+
+
+@pytest.mark.parametrize("d", [2, 5])
+def test_every_basis_verify_reads_goes_through_the_mutant_seam(monkeypatch, d):
+    # the mutant tests above patch mub._columns; if verify built a basis some
+    # other way they would pass without testing anything
+    dim = Dimension(d)
+    for perturbed in range(d + 1):
+        with monkeypatch.context() as patch:
+            _patch_bases(
+                patch,
+                lambda original, dim, a: original(dim, a) * (1 + 1e-6 * (a == perturbed)),
+            )
+            assert not verify(dim).passed, perturbed
 
 
 def test_verify_is_five_times_faster_than_the_reference_at_d61():
