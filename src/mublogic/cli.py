@@ -45,9 +45,8 @@ MAX_TEXT_TABLE_D = 7
 # run (d = 311: 4.8 s end to end, 1 BLAS thread, 2-vCPU VM; 313: up to 5.1 s),
 # `cross-validate` by time, `probs` and `run` by their d x d basis matrices,
 # `decide` by its primality test and group arrays, and --trials by time
-MAX_TABLE_D = 101
 MAX_D = {
-    "table": MAX_TABLE_D,
+    "table": 101,
     "verify-mub": 311,
     "decide": 2**20,
     "probs": 1009,
@@ -379,20 +378,18 @@ def _cmd_decide(args):
 def _cmd_probs(args):
     dim = Dimension(args.d)
     axiom = Proposition.of(args.axiom[0], args.axiom[1], dim)
-    dist = born(prepare(axiom), args.measure)
+    probabilities = born(prepare(axiom), args.measure).tolist()
     payload = {
         "d": dim.d,
         "axiom": list(args.axiom),
         "measure": args.measure,
-        "probabilities": [float(p) for p in dist.probabilities],
+        "probabilities": probabilities,
     }
     lines = [
         f"Born probabilities for axiom {{{axiom.a},{axiom.b}}}, "
         f"measurement m={args.measure}, d={dim.d}"
     ]
-    lines += [
-        f"  n={n}: {float(p):.12g}" for n, p in enumerate(dist.probabilities)
-    ]
+    lines += [f"  n={n}: {p:.12g}" for n, p in enumerate(probabilities)]
     return payload, None, "\n".join(lines) + "\n"
 
 

@@ -1,5 +1,8 @@
 """Preparation and measurement devices for a single qudit.
 
+A state is its complex128 amplitude array of length d, and a measurement's
+Born distribution is its float64 probability array over outcome labels.
+
 The paper encodes an axiom {a, b} by starting from |0>_a and applying
 U = X^f(0) Z^f(1) for a function f consistent with the axiom; any member of
 the axiom's group yields the same state up to a global phase
@@ -17,14 +20,13 @@ encoding {a, b} report n = b with certainty when measured at m = a.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 
 import numpy as np
 
 from .logic import BinaryFunction, Proposition
 from .modmath import Dimension
 from .mub import basis_matrix, basis_state
-from .qlinalg import Operator, StateVector, apply, compose, pauli_x, pauli_z, power
+from .qlinalg import pauli_x, pauli_z
 
 # Per-trial stream derivation: PCG64 seeded with seed XOR (trial * mix),
 # all mod 2**64. Multiplication by an odd constant is a bijection on 64-bit
@@ -33,39 +35,11 @@ TRIAL_SEED_MIX = 0x9E3779B97F4A7C15
 SEED_BOUND = 1 << 64
 _MASK64 = SEED_BOUND - 1
 
-PROBABILITY_SUM_TOL = 1e-12
 
-
-@dataclass(frozen=True, eq=False)
-class OutcomeDistribution:
-    """Born probabilities over outcome labels n = 0..d-1 for measurement m."""
-
-    probabilities: np.ndarray
-    dim: Dimension
-    m: int
-
-    def __post_init__(self) -> None:
-        probs = np.array(self.probabilities, dtype=np.float64)
-        if probs.shape != (self.dim.d,):
-            raise ValueError(
-                f"expected {self.dim.d} probabilities, got shape {probs.shape}"
-            )
-        if not 0 <= self.m <= self.dim.d:
-            raise ValueError(f"measurement index {self.m} out of range")
-        if np.any(probs < -PROBABILITY_SUM_TOL) or np.any(probs > 1.0 + PROBABILITY_SUM_TOL):
-            raise ValueError("probabilities must lie in [0, 1]")
-        total = float(probs.sum())
-        if abs(total - 1.0) > PROBABILITY_SUM_TOL:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
-        probs = np.clip(probs, 0.0, 1.0)
-        probs.flags.writeable = False
-        object.__setattr__(self, "probabilities", probs)
-
-
-def encode_unitary(f: BinaryFunction) -> Operator:
+def encode_unitary(f: BinaryFunction) -> np.ndarray:
     """U = X^f(0) Z^f(1); the Z power acts first on the ket."""
-    dim = f.dim
-    return compose(power(pauli_x(dim), f.f0), power(pauli_z(dim), f.f1))
+    x, z = pauli_x(f.dim), pauli_z(f.dim)
+    return np.linalg.matrix_power(x, f.f0) @ np.linalg.matrix_power(z, f.f1)
 
 
 def _column(n, m: int, d: int):
@@ -73,21 +47,21 @@ def _column(n, m: int, d: int):
     return n if m == d else -n % d
 
 
-def prepare(axiom: Proposition) -> StateVector:
+def prepare(axiom: Proposition) -> np.ndarray:
     """Encode the axiom: |-b mod d>_a for a < d, and |b> for a = d."""
     return basis_state(axiom.dim, axiom.a, _column(axiom.b, axiom.a, axiom.dim.d))
 
 
-def prepare_with(f: BinaryFunction, a: int) -> StateVector:
+def prepare_with(f: BinaryFunction, a: int) -> np.ndarray:
     """Encode via an arbitrary function: U_f applied to |0>_a.
 
-    Every f belongs to exactly one group of partition a, so the result is
-    phase-free-equal to prepare() of that group's proposition.
+    Every f belongs to exactly one group of partition a, so the result
+    equals prepare() of that group's proposition up to a global phase.
     """
     dim = f.dim
     if not 0 <= a <= dim.d:
         raise ValueError(f"basis index {a} out of range [0, {dim.d}]")
-    return apply(encode_unitary(f), basis_state(dim, a, 0))
+    return encode_unitary(f) @ basis_state(dim, a, 0)
 
 
 def measurement(dim: Dimension, m: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -109,12 +83,12 @@ def measurement(dim: Dimension, m: int) -> Callable[[np.ndarray], np.ndarray]:
     return probabilities
 
 
-def born(state: StateVector, m: int) -> OutcomeDistribution:
+def born(state: np.ndarray, m: int) -> np.ndarray:
     """Born probabilities of measuring `state` in basis m, over labels n."""
-    return OutcomeDistribution(measurement(state.dim, m)(state.amplitudes), state.dim, m)
+    return measurement(Dimension(len(state)), m)(state)
 
 
-def sample(dist: OutcomeDistribution, rng: np.random.Generator) -> int:
+def sample(probabilities: np.ndarray, rng: np.random.Generator) -> int:
     """One outcome by inverse-CDF over cumulative probabilities in label order.
 
     Ties at cell boundaries resolve to the smaller label; zero-probability
@@ -122,20 +96,20 @@ def sample(dist: OutcomeDistribution, rng: np.random.Generator) -> int:
     """
     u = rng.random()
     cumulative = 0.0
-    for n, p in enumerate(dist.probabilities):
+    for n, p in enumerate(probabilities):
         cumulative += p
         if u < cumulative:
             return n
     # u landed past the last boundary through rounding; return the largest
     # label that actually carries probability
-    supported = np.flatnonzero(dist.probabilities > 0.0)
+    supported = np.flatnonzero(probabilities > 0.0)
     return int(supported[-1])
 
 
-def outcomes(dist: OutcomeDistribution, u: np.ndarray) -> np.ndarray:
+def outcomes(probabilities: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The outcome sample() returns for each uniform in u, in one pass."""
-    labels = np.searchsorted(np.cumsum(dist.probabilities), u, side="right")
-    labels[labels == dist.dim.d] = np.flatnonzero(dist.probabilities > 0.0)[-1]
+    labels = np.searchsorted(np.cumsum(probabilities), u, side="right")
+    labels[labels == len(probabilities)] = np.flatnonzero(probabilities > 0.0)[-1]
     return labels
 
 

@@ -99,10 +99,10 @@ def run(config: ExperimentConfig) -> Tally:
     independent of execution order and reproducible from (seed, trials).
     All uniforms come from one vectorized pass (trial_uniforms) and map to
     outcomes by the rule of sample(), so the counts equal the scalar loop
-    over sample(dist, trial_rng(seed, t)) exactly.
+    over sample(probabilities, trial_rng(seed, t)) exactly.
     """
-    dist = born(prepare(config.axiom), config.m)
-    labels = outcomes(dist, trial_uniforms(config.seed, config.trials))
+    probabilities = born(prepare(config.axiom), config.m)
+    labels = outcomes(probabilities, trial_uniforms(config.seed, config.trials))
     counts = np.bincount(labels, minlength=config.dim.d)
     return Tally(tuple(int(c) for c in counts), config)
 

@@ -1,9 +1,9 @@
 """The prime dimension d shared by the logic and the quantum layer.
 
 Values in Z_d are plain ints, range-checked where they enter a Proposition
-or BinaryFunction. Objects bound to different dimensions raise
-DimensionMismatch when combined, so index bugs between the logic layer and
-the quantum layer fail loudly.
+or BinaryFunction. Logic objects bound to different dimensions raise
+DimensionMismatch when combined; the quantum layer's arrays carry d as
+their length, so a mismatch there fails numpy's own shape checks.
 """
 
 from __future__ import annotations

@@ -8,9 +8,11 @@ Bases a = 0..d-1 are eigenbases of X Z^a; basis a = d is the computational
 with exponents reduced mod d (Wootters & Fields 1989, Ann. Phys. 191, 363).
 The labeling convention is fixed by the Z-shift property
 Z|j>_a = |j-1 mod d>_a (exact, no phase), which the encoding layer relies
-on. basis_matrix() builds B_a, the d x d matrix with |j>_a as column j, in
-one step; basis_state() computes its column j alone, by the same formula,
-bit for bit; verify() builds its columns the same way, from one eta table.
+on. Bases, states and operators are plain complex128 arrays:
+basis_matrix() builds B_a, the d x d matrix with |j>_a as column j, in one
+step; basis_state() computes its column j alone, by the same formula, bit
+for bit, as a contiguous vector; verify() builds its columns the same way,
+from one eta table.
 
 d = 2 needs one special case: the integer-exponent formula cannot produce
 the X Z eigenbasis (that basis has imaginary components), so basis a = 1 is
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .modmath import Dimension
-from .qlinalg import Operator, StateVector, pauli_x, pauli_z, power, root_of_unity
+from .qlinalg import pauli_x, pauli_z, root_of_unity
 
 
 @dataclass(frozen=True)
@@ -57,15 +59,17 @@ def basis_matrix(dim: Dimension, a: int) -> np.ndarray:
     return _columns(dim, a, np.arange(dim.d))
 
 
-def basis_state(dim: Dimension, a: int, j: int) -> StateVector:
+def basis_state(dim: Dimension, a: int, j: int) -> np.ndarray:
     """State |j>_a of basis a; basis a = d is the computational basis.
 
     Only column j is computed; its bits are those of basis_matrix(dim, a)[:, j].
+    The array is contiguous, as born() needs: a strided column would change
+    the bits of its matrix-vector product.
     """
     _check_index(dim, a)
     if not 0 <= j < dim.d:
         raise ValueError(f"state label {j} out of range [0, {dim.d})")
-    return StateVector(_columns(dim, a, np.array([j]))[:, 0], dim)
+    return _columns(dim, a, np.array([j])).ravel()
 
 
 def _check_index(dim: Dimension, a: int) -> None:
@@ -129,8 +133,9 @@ def verify(dim: Dimension, tol: float = 1e-10) -> MubReport:
     for a in range(d + 1):
         basis = _columns(dim, a, k, eta)
         overlaps = basis.conj().T @ first
-        deviations = np.abs(np.abs(np.delete(overlaps, a, axis=1)) ** 2 - 1.0 / d)
         ortho = max(ortho, float(np.max(np.abs(overlaps[:, a] - (k == 0)))))  # against e_0
+        deviations = np.abs(np.abs(overlaps) ** 2 - 1.0 / d)
+        deviations[:, a] = 0.0  # column a is basis a itself; deviations are >= 0
         unbias = max(unbias, float(np.max(deviations)))
         if a == d:
             ortho = max(ortho, float(np.max(np.abs(basis - np.eye(d)))))
@@ -147,7 +152,7 @@ def verify(dim: Dimension, tol: float = 1e-10) -> MubReport:
     return MubReport(ortho, unbias, eigen, shift, tol, passed)
 
 
-def basis_operator(dim: Dimension, a: int) -> Operator:
+def basis_operator(dim: Dimension, a: int) -> np.ndarray:
     """The operator whose eigenbasis is basis a: X Z^a for a < d, Z for a = d.
 
     The tests' dense reference for the eigenvector check in verify().
@@ -157,4 +162,4 @@ def basis_operator(dim: Dimension, a: int) -> Operator:
         raise ValueError(f"basis index {a} out of range [0, {d}]")
     if a == d:
         return pauli_z(dim)
-    return pauli_x(dim) @ power(pauli_z(dim), a)
+    return pauli_x(dim) @ np.linalg.matrix_power(pauli_z(dim), a)

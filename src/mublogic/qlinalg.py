@@ -1,21 +1,19 @@
-"""Dense complex linear algebra sized for single-qudit problems.
+"""Roots of unity and the generalized Pauli pair for one prime-d qudit.
 
-Everything is d x d or length d with d a small prime, so clarity beats
-cleverness: plain numpy arrays, no sparse forms. Roots of unity are always
-computed from exponents reduced mod d, which keeps phase error independent
-of exponent magnitude.
+States, operators and Born distributions are plain complex128 / float64
+numpy arrays; the only algebra they need is numpy's own (`@`,
+`np.linalg.matrix_power`, `np.vdot`). Roots of unity are always computed
+from exponents reduced mod d, which keeps phase error independent of
+exponent magnitude.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .modmath import Dimension, DimensionMismatch
-
-STATE_NORM_TOL = 1e-12
+from .modmath import Dimension
 
 
 def root_of_unity(dim: Dimension, k: int) -> complex:
@@ -24,134 +22,15 @@ def root_of_unity(dim: Dimension, k: int) -> complex:
     return complex(math.cos(angle), math.sin(angle))
 
 
-@dataclass(frozen=True, eq=False)
-class StateVector:
-    """Unit-norm complex amplitude vector of length d."""
-
-    amplitudes: np.ndarray
-    dim: Dimension
-
-    def __post_init__(self) -> None:
-        amps = np.array(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (self.dim.d,):
-            raise DimensionMismatch(
-                f"expected {self.dim.d} amplitudes, got shape {amps.shape}"
-            )
-        if not np.all(np.isfinite(amps)):
-            raise ValueError("amplitudes must be finite")
-        norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > STATE_NORM_TOL:
-            raise ValueError(f"state not normalized: sum |amp|^2 = {norm_sq!r}")
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
-
-
-@dataclass(frozen=True, eq=False)
-class Operator:
-    """d x d complex matrix."""
-
-    entries: np.ndarray
-    dim: Dimension
-
-    def __post_init__(self) -> None:
-        entries = np.array(self.entries, dtype=np.complex128)
-        if entries.shape != (self.dim.d, self.dim.d):
-            raise DimensionMismatch(
-                f"expected a {self.dim.d} x {self.dim.d} matrix, got shape {entries.shape}"
-            )
-        if not np.all(np.isfinite(entries)):
-            raise ValueError("matrix entries must be finite")
-        entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
-
-    def dagger(self) -> "Operator":
-        return Operator(self.entries.conj().T, self.dim)
-
-    def unitarity_deviation(self) -> float:
-        """max |A A^dagger - I|, zero for a perfect unitary."""
-        d = self.dim.d
-        return float(np.max(np.abs(self.entries @ self.entries.conj().T - np.eye(d))))
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        return compose(self, other)
-
-
-def ket(dim: Dimension, k: int) -> StateVector:
-    """Computational basis state |k>."""
-    if not 0 <= k < dim.d:
-        raise ValueError(f"basis label {k} out of range for d={dim.d}")
-    amps = np.zeros(dim.d, dtype=np.complex128)
-    amps[k] = 1.0
-    return StateVector(amps, dim)
-
-
-def identity(dim: Dimension) -> Operator:
-    return Operator(np.eye(dim.d, dtype=np.complex128), dim)
-
-
-def pauli_z(dim: Dimension) -> Operator:
+def pauli_z(dim: Dimension) -> np.ndarray:
     """Phase operator: Z|k> = eta^k |k>."""
-    return Operator(np.diag([root_of_unity(dim, k) for k in range(dim.d)]), dim)
+    return np.diag([root_of_unity(dim, k) for k in range(dim.d)])
 
 
-def pauli_x(dim: Dimension) -> Operator:
+def pauli_x(dim: Dimension) -> np.ndarray:
     """Cyclic shift: X|k> = |k+1 mod d>."""
     d = dim.d
     entries = np.zeros((d, d), dtype=np.complex128)
     for k in range(d):
         entries[(k + 1) % d, k] = 1.0
-    return Operator(entries, dim)
-
-
-def _same_dim(a, b) -> None:
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dimension mismatch: {a.dim.d} vs {b.dim.d}")
-
-
-def compose(a: Operator, b: Operator) -> Operator:
-    """Matrix product a . b (b acts first on a ket)."""
-    _same_dim(a, b)
-    return Operator(a.entries @ b.entries, a.dim)
-
-
-def power(a: Operator, k: int) -> Operator:
-    return Operator(np.linalg.matrix_power(a.entries, k), a.dim)
-
-
-def scale(a: Operator, factor: complex) -> Operator:
-    return Operator(factor * a.entries, a.dim)
-
-
-def apply(a: Operator, s: StateVector) -> StateVector:
-    """a|s>. No renormalization: callers apply unitaries only."""
-    _same_dim(a, s)
-    return StateVector(a.entries @ s.amplitudes, a.dim)
-
-
-def inner(s: StateVector, t: StateVector) -> complex:
-    """<s|t> = sum conj(s_i) t_i."""
-    _same_dim(s, t)
-    return complex(np.vdot(s.amplitudes, t.amplitudes))
-
-
-def operator_distance(a: Operator, b: Operator) -> float:
-    """max |a - b| entrywise."""
-    _same_dim(a, b)
-    return float(np.max(np.abs(a.entries - b.entries)))
-
-
-def phase_free_equal(s: StateVector, t: StateVector, tol: float = 1e-10) -> bool:
-    """Equality up to a global phase: |<s|t>| within tol of 1."""
-    return abs(inner(s, t)) >= 1.0 - tol
-
-
-def operator_phase_distance(a: Operator, b: Operator) -> float:
-    """max |a - lambda b| over the best unit-modulus lambda.
-
-    Zero iff a and b agree up to a global phase; for unitaries the optimal
-    phase is the direction of tr(b^dagger a).
-    """
-    _same_dim(a, b)
-    tr = complex(np.trace(b.entries.conj().T @ a.entries))
-    phase = tr / abs(tr) if abs(tr) > 0.0 else 1.0
-    return float(np.max(np.abs(a.entries - phase * b.entries)))
+    return entries

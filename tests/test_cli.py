@@ -16,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mublogic import cli
-from mublogic.cli import MAX_D, MAX_TABLE_D, MAX_TRIALS, main, to_json
+from mublogic.cli import MAX_D, MAX_TRIALS, main, to_json
 from mublogic.logic import partition_array
 from mublogic.modmath import Dimension, is_prime
 from test_golden import golden_argvs
@@ -98,7 +98,7 @@ def test_table_machine_envelope_bytes_are_pinned(capsys, d):
 @pytest.mark.parametrize("d", [103, 2147483647])
 @pytest.mark.parametrize("fmt", ["machine", "text"])
 def test_table_above_size_budget_fails_fast(capsys, d, fmt):
-    assert MAX_TABLE_D == 101
+    assert MAX_D["table"] == 101
     start = time.perf_counter()
     code, out = invoke(capsys, "table", "--d", str(d), "--format", fmt)
     assert time.perf_counter() - start < 1.0
@@ -225,7 +225,7 @@ def test_probs_serializes_17_significant_digits(capsys):
     from mublogic.logic import Proposition
     from mublogic.modmath import Dimension
 
-    exact = born(prepare(Proposition.of(0, 1, Dimension(3))), 2).probabilities
+    exact = born(prepare(Proposition.of(0, 1, Dimension(3))), 2)
     # serialization must round-trip every double bit-exactly
     assert env["payload"]["probabilities"] == list(exact)
     assert to_json(0.1) == "0.10000000000000001"

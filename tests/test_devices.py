@@ -1,5 +1,6 @@
 """Preparation/measurement devices: encoding, Born statistics, sampling."""
 
+import hashlib
 import itertools
 import time
 
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 
 from mublogic.devices import (
     TRIAL_BLOCK,
-    OutcomeDistribution,
     born,
     encode_unitary,
+    measurement,
     outcomes,
     prepare,
     prepare_with,
@@ -24,18 +25,8 @@ from mublogic.experiment import ExperimentConfig, run
 from mublogic.logic import BinaryFunction, Proposition, group, outcome_multiplicities
 from mublogic.modmath import Dimension
 from mublogic.mub import basis_matrix, basis_state
-from mublogic.qlinalg import (
-    compose,
-    identity,
-    inner,
-    ket,
-    operator_distance,
-    operator_phase_distance,
-    pauli_x,
-    pauli_z,
-    phase_free_equal,
-    power,
-)
+from mublogic.qlinalg import pauli_x, pauli_z
+from phase import phase_distance
 
 PRIMES = [2, 3, 5]
 
@@ -57,30 +48,29 @@ class FixedUniform:
 
 
 def test_encode_identity_and_shift():
-    assert operator_distance(encode_unitary(BinaryFunction.from_values(0, 0, D3)), identity(D3)) == 0
+    assert np.array_equal(encode_unitary(BinaryFunction.from_values(0, 0, D3)), np.eye(3))
     d2 = Dimension(2)
-    assert operator_distance(encode_unitary(BinaryFunction.from_values(1, 0, d2)), pauli_x(d2)) == 0
+    assert np.array_equal(encode_unitary(BinaryFunction.from_values(1, 0, d2)), pauli_x(d2))
 
 
 @pytest.mark.parametrize("d", PRIMES)
 def test_encode_proportional_to_group_form(d):
     dim = Dimension(d)
     x, z = pauli_x(dim), pauli_z(dim)
+    power = np.linalg.matrix_power
     for f0, f1 in itertools.product(range(d), repeat=2):
         u = encode_unitary(BinaryFunction.from_values(f0, f1, dim))
         for a in range(d):
             b = (f1 - a * f0) % d
-            grouped = compose(power(compose(x, power(z, a)), f0), power(z, b))
-            assert operator_phase_distance(u, grouped) < 1e-10
+            grouped = power(x @ power(z, a), f0) @ power(z, b)
+            assert phase_distance(u, grouped) < 1e-10
 
 
 def test_prepare_examples():
-    assert np.allclose(prepare(Proposition.of(3, 2, D3)).amplitudes, ket(D3, 2).amplitudes)
+    assert np.allclose(prepare(Proposition.of(3, 2, D3)), np.eye(3)[:, 2])
     # b = 0 leaves |0>_a fixed exactly, not merely up to phase
-    assert np.array_equal(
-        prepare(Proposition.of(0, 0, D3)).amplitudes, basis_state(D3, 0, 0).amplitudes
-    )
-    assert phase_free_equal(prepare(Proposition.of(1, 1, D3)), basis_state(D3, 1, 2), 1e-12)
+    assert np.array_equal(prepare(Proposition.of(0, 0, D3)), basis_state(D3, 0, 0))
+    assert phase_distance(prepare(Proposition.of(1, 1, D3)), basis_state(D3, 1, 2)) < 1e-12
 
 
 @pytest.mark.parametrize("d", PRIMES)
@@ -90,7 +80,7 @@ def test_prepare_lands_on_shifted_label(d):
         for b in range(d):
             state = prepare(Proposition.of(a, b, dim))
             target_j = b if a == d else (-b) % d
-            assert phase_free_equal(state, basis_state(dim, a, target_j), 1e-10)
+            assert phase_distance(state, basis_state(dim, a, target_j)) < 1e-10
 
 
 @pytest.mark.parametrize("d", PRIMES)
@@ -100,7 +90,7 @@ def test_group_members_encode_same_state(d):
         for b in range(d):
             states = [prepare_with(f, a) for f in group(Proposition.of(a, b, dim))]
             for s, t in itertools.combinations(states, 2):
-                assert abs(inner(s, t)) > 1.0 - 1e-10
+                assert abs(np.vdot(s, t)) > 1.0 - 1e-10
 
 
 PRIMES_TO_31 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
@@ -115,8 +105,8 @@ def test_prepare_is_the_column_of_b_a_that_b_names(d):
         for b in range(d):
             j = b if a == d else (-b) % d
             state = prepare(Proposition.of(a, b, dim))
-            assert state.amplitudes.tobytes() == basis_state(dim, a, j).amplitudes.tobytes()
-            assert state.amplitudes.tobytes() == matrix[:, j].tobytes()
+            assert state.tobytes() == basis_state(dim, a, j).tobytes()
+            assert state.tobytes() == matrix[:, j].tobytes()
 
 
 @pytest.mark.parametrize("d", PRIMES_TO_31)
@@ -129,16 +119,16 @@ def test_prepare_matches_the_canonical_unitary_encoding(d):
             f0, f1 = (b, 0) if a == d else (0, b)
             reference = prepare_with(BinaryFunction.from_values(f0, f1, dim), a)
             state = prepare(Proposition.of(a, b, dim))
-            assert np.max(np.abs(state.amplitudes - reference.amplitudes)) <= 1e-14
+            assert np.max(np.abs(state - reference)) <= 1e-14
 
 
 def test_born_examples():
-    dist = born(prepare(Proposition.of(0, 1, D3)), 0)
-    assert np.allclose(dist.probabilities, [0, 1, 0], atol=1e-12)
+    probs = born(prepare(Proposition.of(0, 1, D3)), 0)
+    assert np.allclose(probs, [0, 1, 0], atol=1e-12)
     flat = born(prepare(Proposition.of(0, 1, D3)), 2)
-    assert np.allclose(flat.probabilities, [1 / 3] * 3, atol=1e-10)
+    assert np.allclose(flat, [1 / 3] * 3, atol=1e-10)
     pin = born(prepare(Proposition.of(3, 2, D3)), 3)
-    assert np.allclose(pin.probabilities, [0, 0, 1], atol=1e-12)
+    assert np.allclose(pin, [0, 0, 1], atol=1e-12)
 
 
 @pytest.mark.parametrize("d", PRIMES)
@@ -146,7 +136,7 @@ def test_confirmation_point_mass(d):
     dim = Dimension(d)
     for a in range(d + 1):
         for b in range(d):
-            probs = born(prepare(Proposition.of(a, b, dim)), a).probabilities
+            probs = born(prepare(Proposition.of(a, b, dim)), a)
             expected = np.zeros(d)
             expected[b] = 1.0
             assert np.max(np.abs(probs - expected)) < 1e-12
@@ -161,7 +151,7 @@ def test_complementarity_uniform(d):
             for m in range(d + 1):
                 if m == a:
                     continue
-                probs = born(state, m).probabilities
+                probs = born(state, m)
                 assert np.max(np.abs(probs - 1.0 / d)) < 1e-10
 
 
@@ -173,27 +163,90 @@ def test_born_matches_counting_oracle(d):
             axiom = Proposition.of(a, b, dim)
             state = prepare(axiom)
             for m in range(d + 1):
-                probs = born(state, m).probabilities
+                probs = born(state, m)
                 counts = outcome_multiplicities(axiom, m)
                 for n in range(d):
                     assert abs(probs[n] - counts[n] / d) < 1e-10
 
 
+def assert_state_invariants(state, d):
+    assert state.dtype == np.complex128 and state.shape == (d,)
+    # born's gemv bits depend on the layout of the state it is handed
+    assert state.flags.c_contiguous
+    assert abs(float(np.vdot(state, state).real) - 1.0) <= 1e-12
+
+
+def assert_distribution_invariants(probs, d):
+    assert probs.dtype == np.float64 and probs.shape == (d,)
+    assert np.all((probs >= 0.0) & (probs <= 1.0))
+    assert abs(float(probs.sum()) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("d", PRIMES_TO_31)
+def test_states_and_distributions_are_unit_arrays(d):
+    # measurement(dim, m) is what born() runs; built once per m here
+    dim = Dimension(d)
+    measure = [measurement(dim, m) for m in range(d + 1)]
+    for a in range(d + 1):
+        for b in range(d):
+            state = prepare(Proposition.of(a, b, dim))
+            assert_state_invariants(state, d)
+            for m in range(d + 1):
+                assert_distribution_invariants(measure[m](state), d)
+
+
+@pytest.mark.parametrize("d", [53, 97, 1009])
+def test_probs_cells_are_unit_arrays_at_large_d(d):
+    dim = Dimension(d)
+    for a, b in ((0, 1), (1, 0), (d // 2, d - 1), (d, 1)):
+        state = prepare(Proposition.of(a, b, dim))
+        assert_state_invariants(state, d)
+        for m in sorted({0, a, (a + 1) % (d + 1), d}):
+            assert_distribution_invariants(born(state, m), d)
+
+
+# sha256 of born(prepare(axiom), m).tobytes(), concatenated over every cell in
+# the order a, b, m; recorded before states and distributions became plain
+# arrays, so a change of dtype, layout or summation order shows here even
+# where it stays inside the golden tolerance
+BORN_SHA256 = {
+    11: "0ef10c6def0eb2b56f21cb6a4626af23c6201e67564d55a655e751d9ddf9bff6",
+    53: "3b55dc6706a57a926bcebf803265cb0e15b0061d49e4aae3a478adaf85bb1abf",
+}
+
+
+@pytest.mark.parametrize("d", sorted(BORN_SHA256))
+def test_born_bits_are_pinned(d):
+    # born() builds its measurement on every call, too slow for the 154 548
+    # cells at d = 53: there each measurement(dim, m), which born() runs, is
+    # built once. d = 11 goes through born() itself.
+    dim = Dimension(d)
+    measure = [measurement(dim, m) for m in range(d + 1)]
+    read = born if d == 11 else lambda state, m: measure[m](state)
+    digest = hashlib.sha256()
+    for a in range(d + 1):
+        for b in range(d):
+            state = prepare(Proposition.of(a, b, dim))
+            for m in range(d + 1):
+                digest.update(read(state, m).tobytes())
+    assert digest.hexdigest() == BORN_SHA256[d]
+
+
 def test_sample_point_mass():
-    dist = OutcomeDistribution(np.array([0.0, 1.0, 0.0]), D3, 0)
+    dist = np.array([0.0, 1.0, 0.0])
     for seed in range(50):
         assert sample(dist, trial_rng(seed, 0)) == 1
 
 
 def test_sample_tie_breaks_to_smaller_label():
-    dist = OutcomeDistribution(np.array([0.5, 0.0, 0.5]), D3, 0)
+    dist = np.array([0.5, 0.0, 0.5])
     assert sample(dist, FixedUniform(0.25)) == 0
     assert sample(dist, FixedUniform(0.5)) == 2
     assert sample(dist, FixedUniform(0.75)) == 2
-    skewed = OutcomeDistribution(np.array([0.5, 0.5, 0.0]), D3, 0)
+    skewed = np.array([0.5, 0.5, 0.0])
     # the zero-probability trailing cell is never chosen
     assert sample(skewed, FixedUniform(0.9999999999)) == 1
-    point = OutcomeDistribution(np.array([0.0, 1.0, 0.0]), D3, 0)
+    point = np.array([0.0, 1.0, 0.0])
     assert sample(point, FixedUniform(0.0)) == 1
 
 
@@ -204,8 +257,8 @@ def test_sample_tie_breaks_to_smaller_label():
      [0.5, 0.5 - 1e-13, 0.0]],
 )
 def test_outcomes_follow_sample_rule_at_boundaries(probabilities):
-    dist = OutcomeDistribution(np.array(probabilities), D3, 0)
-    cumulative = np.cumsum(dist.probabilities)
+    dist = np.array(probabilities)
+    cumulative = np.cumsum(dist)
     u = np.concatenate([
         [0.0, 0.25, 0.5, 0.75, 0.9999999999, 1.0 - 2.0**-53],
         cumulative, np.nextafter(cumulative, 0.0),
@@ -239,15 +292,6 @@ def test_trial_rng_streams_are_independent_and_stable():
     assert trial_rng(7, 0).random() != trial_rng(8, 0).random()
     with pytest.raises(ValueError):
         trial_rng(7, -1)
-
-
-def test_distribution_validation():
-    with pytest.raises(ValueError):
-        OutcomeDistribution(np.array([0.5, 0.4, 0.0]), D3, 0)
-    with pytest.raises(ValueError):
-        OutcomeDistribution(np.array([1.5, -0.5, 0.0]), D3, 0)
-    with pytest.raises(ValueError):
-        OutcomeDistribution(np.array([0.5, 0.5]), D3, 0)
 
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]

@@ -1,4 +1,4 @@
-"""Generalized Pauli pair and the small dense-algebra layer."""
+"""Roots of unity and the generalized Pauli pair, as plain numpy arrays."""
 
 import math
 
@@ -7,26 +7,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mublogic.modmath import Dimension, DimensionMismatch
-from mublogic.qlinalg import (
-    Operator,
-    StateVector,
-    apply,
-    compose,
-    identity,
-    inner,
-    ket,
-    operator_distance,
-    operator_phase_distance,
-    pauli_x,
-    pauli_z,
-    phase_free_equal,
-    power,
-    root_of_unity,
-    scale,
-)
+from mublogic.modmath import Dimension
+from mublogic.qlinalg import pauli_x, pauli_z, root_of_unity
+from phase import phase_distance
 
 PRIMES = [2, 3, 5, 7, 11]
+
+
+def max_distance(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.max(np.abs(a - b)))
 
 
 def test_root_of_unity_examples():
@@ -46,58 +35,46 @@ def test_root_of_unity_reduces_exponent(d):
         assert root_of_unity(dim, k) == root_of_unity(dim, k % d)
 
 
+@pytest.mark.parametrize("d", PRIMES)
+def test_paulis_are_complex128_d_by_d(d):
+    for op in (pauli_x(Dimension(d)), pauli_z(Dimension(d))):
+        assert op.dtype == np.complex128 and op.shape == (d, d)
+
+
 def test_pauli_z_entries():
-    assert operator_distance(pauli_z(Dimension(2)), Operator(np.diag([1, -1]), Dimension(2))) < 1e-15
+    assert max_distance(pauli_z(Dimension(2)), np.diag([1, -1])) < 1e-15
     d3 = Dimension(3)
     eta = root_of_unity(d3, 1)
-    expected = Operator(np.diag([1, eta, eta**2]), d3)
-    assert operator_distance(pauli_z(d3), expected) < 1e-12
+    assert max_distance(pauli_z(d3), np.diag([1, eta, eta**2])) < 1e-12
 
 
 def test_pauli_x_is_cyclic_shift():
-    d2 = Dimension(2)
-    assert operator_distance(pauli_x(d2), Operator(np.array([[0, 1], [1, 0]]), d2)) == 0
-    d3 = Dimension(3)
-    wrapped = apply(pauli_x(d3), ket(d3, 2))
-    assert np.allclose(wrapped.amplitudes, ket(d3, 0).amplitudes)
+    assert max_distance(pauli_x(Dimension(2)), np.array([[0, 1], [1, 0]])) == 0
+    eye = np.eye(3)
+    assert np.array_equal(pauli_x(Dimension(3)) @ eye[:, 2], eye[:, 0])
+    assert np.array_equal(pauli_x(Dimension(3)) @ eye[:, 0], eye[:, 1])
 
 
 @pytest.mark.parametrize("d", PRIMES)
 def test_pauli_powers_have_order_d(d):
     dim = Dimension(d)
-    eye = identity(dim)
-    assert operator_distance(power(pauli_x(dim), d), eye) < 1e-12
-    assert operator_distance(power(pauli_z(dim), d), eye) < 1e-12
+    eye = np.eye(d)
+    assert max_distance(np.linalg.matrix_power(pauli_x(dim), d), eye) < 1e-12
+    assert max_distance(np.linalg.matrix_power(pauli_z(dim), d), eye) < 1e-12
 
 
 @pytest.mark.parametrize("d", PRIMES)
 def test_weyl_commutation(d):
     dim = Dimension(d)
     x, z = pauli_x(dim), pauli_z(dim)
-    lhs = compose(z, x)
-    rhs = scale(compose(x, z), root_of_unity(dim, 1))
-    assert operator_distance(lhs, rhs) < 1e-12
+    assert max_distance(z @ x, root_of_unity(dim, 1) * (x @ z)) < 1e-12
 
 
 @pytest.mark.parametrize("d", PRIMES)
 def test_constructed_operators_unitary(d):
     dim = Dimension(d)
-    for op in (identity(dim), pauli_x(dim), pauli_z(dim), compose(pauli_x(dim), pauli_z(dim))):
-        assert op.unitarity_deviation() < 1e-10
-
-
-def test_compose_identity_and_inverse():
-    dim = Dimension(3)
-    x = pauli_x(dim)
-    assert operator_distance(compose(identity(dim), x), x) == 0
-    assert operator_distance(compose(x, x.dagger()), identity(dim)) < 1e-12
-
-
-def test_apply_examples():
-    dim = Dimension(3)
-    s = ket(dim, 0)
-    assert np.allclose(apply(identity(dim), s).amplitudes, s.amplitudes)
-    assert np.allclose(apply(pauli_x(dim), s).amplitudes, ket(dim, 1).amplitudes)
+    for op in (np.eye(d), pauli_x(dim), pauli_z(dim), pauli_x(dim) @ pauli_z(dim)):
+        assert max_distance(op @ op.conj().T, np.eye(d)) < 1e-10
 
 
 @given(
@@ -107,60 +84,17 @@ def test_apply_examples():
 )
 def test_norm_preserved_under_pauli_words(d, word, start):
     dim = Dimension(d)
-    s = ket(dim, start % d)
+    s = np.eye(d, dtype=np.complex128)[:, start % d]
     for gate, k in word:
-        op = power(pauli_x(dim) if gate == "X" else pauli_z(dim), k)
-        s = apply(op, s)
-    assert abs(float(np.vdot(s.amplitudes, s.amplitudes).real) - 1.0) < 1e-12
+        s = np.linalg.matrix_power(pauli_x(dim) if gate == "X" else pauli_z(dim), k) @ s
+    assert abs(float(np.vdot(s, s).real) - 1.0) < 1e-12
 
 
-def test_inner_examples():
-    dim = Dimension(3)
-    assert inner(ket(dim, 0), ket(dim, 0)) == 1
-    assert inner(ket(dim, 0), ket(dim, 1)) == 0
-    # conjugation sits on the first argument
-    s = StateVector(np.array([1, 1j, 0]) / math.sqrt(2), dim)
-    assert inner(s, ket(dim, 1)) == pytest.approx(-1j / math.sqrt(2))
-
-
-def test_phase_free_equal():
-    dim = Dimension(3)
-    s = ket(dim, 0)
-    rotated = StateVector(root_of_unity(dim, 1) * s.amplitudes, dim)
-    assert phase_free_equal(s, rotated, 1e-12)
-    assert not phase_free_equal(s, ket(dim, 1), 1e-12)
-
-
-def test_operator_phase_distance():
+def test_phase_distance():
     dim = Dimension(3)
     x = pauli_x(dim)
-    rotated = scale(x, root_of_unity(dim, 2))
-    assert operator_phase_distance(x, rotated) < 1e-12
-    assert operator_phase_distance(x, pauli_z(dim)) > 0.5
-
-
-def test_dimension_mismatch_rejected():
-    with pytest.raises(DimensionMismatch):
-        compose(pauli_x(Dimension(3)), pauli_x(Dimension(5)))
-    with pytest.raises(DimensionMismatch):
-        apply(pauli_x(Dimension(3)), ket(Dimension(5), 0))
-    with pytest.raises(DimensionMismatch):
-        inner(ket(Dimension(3), 0), ket(Dimension(5), 0))
-
-
-def test_state_vector_validates_norm():
-    dim = Dimension(2)
-    with pytest.raises(ValueError):
-        StateVector(np.array([1.0, 1.0]), dim)
-    with pytest.raises(DimensionMismatch):
-        StateVector(np.array([1.0, 0.0, 0.0]), dim)
-
-
-def test_values_are_immutable():
-    dim = Dimension(2)
-    s = ket(dim, 0)
-    with pytest.raises(ValueError):
-        s.amplitudes[0] = 0.0
-    x = pauli_x(dim)
-    with pytest.raises(ValueError):
-        x.entries[0, 0] = 5.0
+    assert phase_distance(x, root_of_unity(dim, 2) * x) < 1e-12
+    assert phase_distance(x, pauli_z(dim)) > 0.5
+    ket0 = np.eye(3, dtype=np.complex128)[:, 0]
+    assert phase_distance(ket0, root_of_unity(dim, 1) * ket0) < 1e-12
+    assert phase_distance(ket0, np.eye(3)[:, 1]) > 0.5
