@@ -8,6 +8,8 @@ group-counting multiplicities. Exits nonzero if any cell disagrees.
 
 import argparse
 
+import numpy as np
+
 from mublogic.cli import check_budget, disagreement_line, entrypoint, parse_tolerance
 from mublogic.experiment import cross_validate
 from mublogic.modmath import Dimension
@@ -36,12 +38,11 @@ def main() -> int:
     for report in reports:
         failures += report.disagreements
         print(
-            f"{report.dim.d:>3}  {len(report.cells):>6}  {report.disagreements:>8}  "
+            f"{report.dim.d:>3}  {report.agree.size:>6}  {report.disagreements:>8}  "
             f"{report.max_born_vs_counting_deviation:>24.3e}"
         )
-        for cell in report.cells:
-            if not cell.agree:
-                print(f"     {disagreement_line(cell)}")
+        for i in np.flatnonzero(~report.agree):
+            print(f"     {disagreement_line(report.cell(i))}")
     print("all cells agree" if failures == 0 else f"{failures} disagreements")
     return 0 if failures == 0 else 1
 

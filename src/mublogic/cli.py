@@ -2,9 +2,9 @@
 
 Every invocation emits exactly one envelope on standard output. In machine
 format the envelope is a single-line JSON document with floats rendered to
-17 significant digits (enough to round-trip any double) and integer arrays
-rendered by the C JSON encoder; in text format it is a human-readable
-rendering of the same content.
+17 significant digits (enough to round-trip any double), table groups joined
+from the d**2 pair strings "[f0, f1]" and cross-validation cells filled into
+one template; in text format it is a human-readable rendering of the same.
 
 Exit codes: 0 success, 1 usage or input error, 2 validation failure (a
 verification command ran but its checks did not pass).
@@ -13,6 +13,7 @@ verification command ran but its checks did not pass).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -28,6 +29,7 @@ from .experiment import (
     ExperimentConfig,
     UniformityResult,
     ValidityError,
+    behavior_of,
     chi_square_uniform,
     cross_validate,
     run,
@@ -61,16 +63,17 @@ MAX_TRIALS = 10_000_000
 
 
 _quote = json.encoder.encode_basestring_ascii
-# the nested lists of ndarray.tolist() cannot refer to themselves
-_encode_plain = json.JSONEncoder(check_circular=False).encode
+
+
+class Fragment(str):
+    """JSON text, rendered in advance, that to_json emits verbatim."""
 
 
 def to_json(value) -> str:
     """Render a plain-python document as JSON with 17-significant-digit floats.
 
-    An integer ndarray is rendered by the C JSON encoder, one call per row;
-    its ints, separators and brackets are the bytes its nested lists would
-    give. Strings are quoted by the function json.dumps uses for them.
+    A Fragment is emitted as it is. Strings are quoted by the function
+    json.dumps uses for them.
     """
     if value is None:
         return "null"
@@ -83,16 +86,12 @@ def to_json(value) -> str:
             raise ValueError("only finite numbers are serializable")
         return format(value, ".17g")
     if isinstance(value, str):
-        return _quote(value)
+        return value if isinstance(value, Fragment) else _quote(value)
     if isinstance(value, dict):
         items = ", ".join(f"{_quote(str(k))}: {to_json(v)}" for k, v in value.items())
         return "{" + items + "}"
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(to_json(v) for v in value) + "]"
-    if isinstance(value, np.ndarray) and value.dtype.kind in "iu":
-        # one encoder call per row keeps the encoder's buffer of small strings
-        # short: less peak memory, and faster, than one call for the array
-        return "[" + ", ".join(map(_encode_plain, value.tolist())) + "]"
     raise TypeError(f"unserializable value: {value!r}")
 
 
@@ -131,22 +130,24 @@ def disagreement_line(cell: CrossCell) -> str:
 
 
 def _cross_report_doc(report: CrossReport) -> dict:
+    """The cross-validate payload, its cells filled into one template in a, b, m
+    order with the .17g floats of to_json, which rejects a non-finite maximum."""
+    d = report.dim.d
+    docs = [to_json(_behavior_doc(behavior_of(code, d))) for code in range(d + 2)]
+    index = itertools.product(range(d + 1), range(d), range(d + 1))
+    columns = (report.predicted, report.observed, report.agree, report.deviation)
+    cells = ", ".join(
+        f'{{"axiom": [{a}, {b}], "measure": {m}, "predicted": {docs[p]}, '
+        f'"observed": {docs[o]}, "agree": {"true" if ok else "false"}, '
+        f'"born_vs_counting_deviation": {dev:.17g}}}'
+        for (a, b, m), p, o, ok, dev in zip(index, *(c.ravel().tolist() for c in columns))
+    )
     return {
-        "d": report.dim.d,
+        "d": d,
         "tol": float(report.tol),
-        "cells": [
-            {
-                "axiom": [cell.axiom.a, cell.axiom.b],
-                "measure": cell.m,
-                "predicted": _behavior_doc(cell.predicted),
-                "observed": _behavior_doc(cell.observed),
-                "agree": cell.agree,
-                "born_vs_counting_deviation": float(cell.born_vs_counting_deviation),
-            }
-            for cell in report.cells
-        ],
+        "cells": Fragment(f"[{cells}]"),
         "disagreements": report.disagreements,
-        "max_born_vs_counting_deviation": float(report.max_born_vs_counting_deviation),
+        "max_born_vs_counting_deviation": report.max_born_vs_counting_deviation,
     }
 
 
@@ -188,6 +189,15 @@ def render_table_text(dim: Dimension) -> str:
         )
         lines.append(f"a={a}  {labels[a].ljust(label_width)} : {cells}")
     return "\n".join(lines) + "\n"
+
+
+def table_json(dim: Dimension) -> Fragment:
+    """partition_array(dim) as JSON: the bytes of json.dumps(table.tolist())."""
+    d, table = dim.d, partition_array(dim)
+    pairs = [f"[{f0}, {f1}]" for f0 in range(d) for f1 in range(d)]
+    rows = (", ".join(f"[{', '.join(map(pairs.__getitem__, group))}]" for group in row)
+            for row in (table[..., 0] * d + table[..., 1]).tolist())
+    return Fragment("[" + ", ".join(f"[{row}]" for row in rows) + "]")
 
 
 # ---------------------------------------------------------------------------
@@ -329,13 +339,10 @@ def check_budget(command: str, d: int, trials: int | None = None) -> None:
 
 def _cmd_table(args):
     dim = Dimension(args.d)
-    payload = {
-        "d": dim.d,
-        "labels": [relation_label(a, dim.d) for a in range(dim.d + 1)],
-        "cells": partition_array(dim),
-    }
-    text = render_table_text(dim) if args.format == "text" else ""
-    return payload, None, text
+    if args.format == "text":
+        return None, None, render_table_text(dim)
+    labels = [relation_label(a, dim.d) for a in range(dim.d + 1)]
+    return {"d": dim.d, "labels": labels, "cells": table_json(dim)}, None, ""
 
 
 def _cmd_verify_mub(args):
@@ -431,19 +438,20 @@ def _cmd_run(args):
 def _cmd_cross_validate(args):
     dim = Dimension(args.d)
     report = cross_validate(dim, args.tol)
-    payload = _cross_report_doc(report)
-    failure = None
-    if not report.all_agree:
-        failure = f"cross-validation found {report.disagreements} disagreeing cells"
+    failure = None if report.all_agree else (
+        f"cross-validation found {report.disagreements} disagreeing cells"
+    )
+    if args.format == "machine":
+        return _cross_report_doc(report), failure, ""
     lines = [
         f"cross-validation for d = {dim.d} (classification tolerance {args.tol:g})",
-        f"  cells checked           : {len(report.cells)}",
+        f"  cells checked           : {report.agree.size}",
         f"  disagreements           : {report.disagreements}",
         f"  max |born - counting/d| : {report.max_born_vs_counting_deviation:.3e}",
     ]
-    lines += [f"  {disagreement_line(cell)}" for cell in report.cells if not cell.agree]
+    lines += [f"  {disagreement_line(report.cell(i))}" for i in np.flatnonzero(~report.agree)]
     lines.append("PASS" if report.all_agree else "FAIL")
-    return payload, failure, "\n".join(lines) + "\n"
+    return None, failure, "\n".join(lines) + "\n"
 
 
 _HANDLERS = {

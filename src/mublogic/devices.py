@@ -67,8 +67,8 @@ def prepare_with(f: BinaryFunction, a: int) -> np.ndarray:
 def measurement(dim: Dimension, m: int) -> Callable[[np.ndarray], np.ndarray]:
     """Measurement in basis m: amplitudes -> Born probabilities over labels n.
 
-    The probabilities |B_m^dagger psi|^2 are clipped to [0, 1], so rounding
-    never reports a probability above 1, and put in outcome-label order.
+    The probabilities |B_m^dagger psi|^2 are capped at 1, so rounding never
+    reports a probability above 1, and put in outcome-label order.
     Build it once per basis to measure many states.
     """
     d = dim.d
@@ -78,7 +78,7 @@ def measurement(dim: Dimension, m: int) -> Callable[[np.ndarray], np.ndarray]:
     labels = _column(np.arange(d), m, d)
 
     def probabilities(amplitudes: np.ndarray) -> np.ndarray:
-        return np.clip(np.abs(adjoint @ amplitudes) ** 2, 0.0, 1.0)[labels]
+        return np.minimum(np.abs(adjoint @ amplitudes) ** 2, 1.0)[labels]
 
     return probabilities
 

@@ -168,18 +168,13 @@ def predicted_behavior(axiom: Proposition, m: int) -> Behavior:
     Outcome n is provable when all d axiom-consistent functions satisfy
     {m, n}, refutable when none does, and undecidable otherwise.
     """
-    return _forecast(label_counts(axiom, m), axiom.dim.d)
+    d, counts = axiom.dim.d, label_counts(axiom, m)
+    return behavior_of(int(_behavior_codes(counts == d, counts != 0)), d)
 
 
-def _forecast(counts: np.ndarray, d: int) -> Behavior:
-    """The behavior implied by the per-outcome counts of axiom-consistent functions."""
-    provable = np.flatnonzero(counts == d)
-    if provable.size:
-        # the counts sum to d, so every other outcome is refutable
-        return Behavior.deterministic(int(provable[0]))
-    if counts.all():
-        return Behavior.uniform()
-    return Behavior.mixed()
+def behavior_of(code: int, d: int) -> Behavior:
+    """The behavior that a code of _behavior_codes stands for."""
+    return Behavior.deterministic(code) if code < d else Behavior(("uniform", "mixed")[code - d])
 
 
 @dataclass(frozen=True)
@@ -192,15 +187,38 @@ class CrossCell:
     born_vs_counting_deviation: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CrossReport:
+    """Every cell of a cross-validation, as arrays indexed [a, b, m]: the
+    predicted and observed behavior codes (behavior_of), the verdicts and
+    each cell's max |born - counting/d|."""
+
     dim: Dimension
     tol: float
-    cells: tuple[CrossCell, ...]
+    predicted: np.ndarray
+    observed: np.ndarray
+    agree: np.ndarray
+    deviation: np.ndarray
+
+    def cell(self, index: int) -> CrossCell:
+        """The cell at flat index `index` of the [a, b, m] arrays."""
+        d = self.dim.d
+        ab, m = divmod(int(index), d + 1)
+        return CrossCell(
+            Proposition.of(*divmod(ab, d), self.dim), m,
+            behavior_of(int(self.predicted.flat[index]), d),
+            behavior_of(int(self.observed.flat[index]), d),
+            bool(self.agree.flat[index]), float(self.deviation.flat[index]),
+        )
+
+    @property
+    def cells(self) -> tuple[CrossCell, ...]:
+        """Every cell in the order a, b, m, built on demand."""
+        return tuple(map(self.cell, range(self.agree.size)))
 
     @property
     def disagreements(self) -> int:
-        return sum(1 for c in self.cells if not c.agree)
+        return int(np.count_nonzero(~self.agree))
 
     @property
     def all_agree(self) -> bool:
@@ -208,7 +226,7 @@ class CrossReport:
 
     @property
     def max_born_vs_counting_deviation(self) -> float:
-        return max(c.born_vs_counting_deviation for c in self.cells)
+        return float(self.deviation.max())
 
 
 def cross_validate(dim: Dimension, tol: float = 1e-9) -> CrossReport:
@@ -218,44 +236,33 @@ def cross_validate(dim: Dimension, tol: float = 1e-9) -> CrossReport:
     forecast, the m = a cell is deterministic at n = b, and every m != a
     cell is uniform. The cell also records how far the Born probabilities
     drift from group-counting multiplicities divided by d; for this function
-    family the two are equal. The d+1 cells of an axiom are classified in
-    one array pass, with the comparisons of observed_behavior and _forecast.
+    family the two are equal. All cells are classified in one array pass,
+    as observed_behavior and predicted_behavior would.
     """
     d = dim.d
     if d > 31:
         raise ValueError("cross-validation is a desk-scale sweep; d <= 31 required")
     measure = [measurement(dim, m) for m in range(d + 1)]
-    # a cell's behaviours are coded as in _behavior_codes; one object per code
-    behaviors = [Behavior.deterministic(n) for n in range(d)]
-    behaviors += [Behavior.uniform(), Behavior.mixed()]
-    settings = np.arange(d + 1)
-    cells = []
+    # [a, b, m]: the Born probabilities and the label counts of cell ({a, b}, m)
+    probabilities = np.empty((d + 1, d, d + 1, d))
+    counts = np.empty(probabilities.shape, dtype=np.intp)
     for a in range(d + 1):
         states = basis_matrix(dim, a)  # prepare() of axiom {a, b} is one of its columns
         for b in range(d):
-            axiom = Proposition.of(a, b, dim)
             amplitudes = np.ascontiguousarray(states[:, _column(b, a, d)])
-            # row m: the Born probabilities and the label counts of cell (axiom, m)
-            probabilities = np.stack([measure[m](amplitudes) for m in range(d + 1)])
-            counts = label_count_matrix(axiom)
-            observed = _behavior_codes(
-                probabilities > 1.0 - tol, np.abs(probabilities - 1.0 / d) <= tol
-            )
-            predicted = _behavior_codes(counts == d, counts != 0)
-            expected = np.where(settings == a, b, d)
-            agree = (observed == predicted) & (predicted == expected)
-            deviations = np.max(np.abs(probabilities - counts / d), axis=1)
-            for m, obs, pred, ok, dev in zip(
-                range(d + 1), observed.tolist(), predicted.tolist(),
-                agree.tolist(), deviations.tolist(),
-            ):
-                cells.append(CrossCell(axiom, m, behaviors[pred], behaviors[obs], ok, dev))
-    return CrossReport(dim, tol, tuple(cells))
+            probabilities[a, b] = [measure[m](amplitudes) for m in range(d + 1)]
+            counts[a, b] = label_count_matrix(Proposition.of(a, b, dim))
+    observed = _behavior_codes(probabilities > 1.0 - tol, np.abs(probabilities - 1.0 / d) <= tol)
+    predicted = _behavior_codes(counts == d, counts != 0)
+    deviation = np.max(np.abs(probabilities - counts / d), axis=-1)
+    a, b, m = np.ogrid[: d + 1, :d, : d + 1]
+    agree = (observed == predicted) & (predicted == np.where(m == a, b, d))
+    return CrossReport(dim, tol, predicted, observed, agree, deviation)
 
 
 def _behavior_codes(point: np.ndarray, near_uniform: np.ndarray) -> np.ndarray:
-    """Per row: the first outcome n with a point mass, else d if every
-    outcome is near uniform, else d + 1 (mixed)."""
-    d = point.shape[1]
-    rest = np.where(near_uniform.all(axis=1), d, d + 1)
-    return np.where(point.any(axis=1), point.argmax(axis=1), rest)
+    """Along the last axis: the first outcome n with a point mass, else d if
+    every outcome is near uniform, else d + 1 (mixed)."""
+    d = point.shape[-1]
+    rest = np.where(near_uniform.all(axis=-1), d, d + 1)
+    return np.where(point.any(axis=-1), point.argmax(axis=-1), rest)

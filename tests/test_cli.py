@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +17,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mublogic import cli
-from mublogic.cli import MAX_D, MAX_TRIALS, main, to_json
+from mublogic.cli import MAX_D, MAX_TRIALS, Fragment, _cross_report_doc, main, table_json, to_json
+from mublogic.experiment import CrossReport, cross_validate
 from mublogic.logic import partition_array
 from mublogic.modmath import Dimension, is_prime
 from test_golden import golden_argvs
@@ -380,22 +382,19 @@ def test_to_json_rejects_non_finite():
         to_json(float("inf"))
 
 
-@pytest.mark.parametrize("d", [p for p in range(2, 62) if is_prime(p)])
-def test_to_json_int_array_equals_nested_lists(d):
-    table = partition_array(Dimension(d))
-    assert to_json(table) == to_json(table.tolist())
+@pytest.mark.parametrize("d", [p for p in range(2, 62) if is_prime(p)] + [101])
+def test_table_json_equals_json_dumps_of_nested_lists(d):
+    dim = Dimension(d)
+    nested = partition_array(dim).tolist()
+    assert table_json(dim) == json.dumps(nested) == to_json(nested)
+    assert to_json({"cells": table_json(dim)}) == json.dumps({"cells": nested})
 
 
-def test_to_json_int_arrays_of_other_shapes_and_widths():
-    for array in (
-        np.zeros((0,), dtype=np.int64),
-        np.zeros((2, 0), dtype=np.int64),
-        np.arange(6, dtype=np.uint8).reshape(2, 3),
-        np.array([-(2**63), 2**63 - 1]),
-        np.array([2**64 - 1], dtype=np.uint64),
-    ):
-        assert to_json(array) == to_json(array.tolist())
-        assert to_json(array) == json.dumps(array.tolist())
+def test_to_json_emits_a_fragment_verbatim():
+    fragment = Fragment('[1, "a\u2264"]')
+    assert to_json(fragment) == fragment
+    assert to_json({"x": [fragment, "b"]}) == '{"x": [[1, "a\u2264"], "b"]}'
+    assert to_json(str(fragment)) == json.dumps(str(fragment))
 
 
 @pytest.mark.parametrize(
@@ -413,27 +412,122 @@ def test_to_json_strings_and_keys_match_json_dumps(text):
         np.array([True, False]),
         np.array([1j]),
         np.array(["a"]),
+        np.arange(4).reshape(2, 2),
+        np.arange(3, dtype=np.uint8),
     ],
-    ids=["float", "bool", "complex", "str"],
+    ids=["float", "bool", "complex", "str", "int", "uint8"],
 )
-def test_to_json_rejects_arrays_other_than_integer_ones(array):
+def test_to_json_rejects_ndarrays(array):
     with pytest.raises(TypeError):
         to_json(array)
 
 
-def test_to_json_int_array_at_least_2x_faster_than_nested_lists():
-    table = partition_array(Dimension(41))
-    nested = table.tolist()
+def best_of(render, repeats=5):
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        render()
+        times.append(time.perf_counter() - start)
+    return min(times)
 
-    def best_of(value, repeats=5):
-        times = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            to_json(value)
-            times.append(time.perf_counter() - start)
-        return min(times)
 
-    assert 2 * best_of(table) <= best_of(nested)
+def test_table_json_at_least_2x_faster_than_to_json_of_nested_lists():
+    dim = Dimension(41)
+    fragment = best_of(lambda: table_json(dim))
+    assert 2 * fragment <= best_of(lambda: to_json(partition_array(dim).tolist()))
+
+
+def reference_cross_report_doc(report, cells):
+    """The cross-validate payload as one dict per cell, from the report's cells."""
+    return {
+        "d": report.dim.d,
+        "tol": float(report.tol),
+        "cells": [
+            {
+                "axiom": [cell.axiom.a, cell.axiom.b],
+                "measure": cell.m,
+                "predicted": {"kind": cell.predicted.kind, "outcome": cell.predicted.outcome},
+                "observed": {"kind": cell.observed.kind, "outcome": cell.observed.outcome},
+                "agree": cell.agree,
+                "born_vs_counting_deviation": float(cell.born_vs_counting_deviation),
+            }
+            for cell in cells
+        ],
+        "disagreements": report.disagreements,
+        "max_born_vs_counting_deviation": float(report.max_born_vs_counting_deviation),
+    }
+
+
+@pytest.mark.parametrize(
+    "d, tol", [(p, 1e-9) for p in range(2, 32) if is_prime(p)] + [(11, 1e-20)]
+)
+def test_cross_report_template_equals_per_cell_dicts(d, tol):
+    report = cross_validate(Dimension(d), tol)
+    assert to_json(_cross_report_doc(report)) == to_json(reference_cross_report_doc(report, report.cells))
+    if tol == 1e-20:  # every disagreeing cell is observed mixed
+        assert report.disagreements == 1552
+        assert {cell.observed.kind for cell in report.cells if not cell.agree} == {"mixed"}
+
+
+def test_cross_report_template_equals_per_cell_dicts_on_a_disagreeing_report():
+    report = one_disagreeing_report(Dimension(3))
+    rendered = to_json(_cross_report_doc(report))
+    assert rendered == to_json(reference_cross_report_doc(report, report.cells))
+    assert json.loads(rendered)["disagreements"] == 1
+
+
+def test_cross_report_rejects_a_non_finite_deviation():
+    report = one_disagreeing_report(Dimension(3))
+    report.deviation[0, 0, 0] = math.nan
+    with pytest.raises(ValueError, match="finite"):
+        to_json(_cross_report_doc(report))
+
+
+def test_cross_report_template_at_least_3x_faster_than_per_cell_dicts_at_d11():
+    report = cross_validate(Dimension(11))
+    cells = report.cells  # the reference rendered cells that already existed
+    renders = {
+        "template": lambda: to_json(_cross_report_doc(report)),
+        "dicts": lambda: to_json(reference_cross_report_doc(report, cells)),
+    }
+    best = dict.fromkeys(renders, math.inf)
+    for _ in range(5):  # interleaved, so a slow stretch of the host hits both
+        for name, render in renders.items():
+            best[name] = min(best[name], best_of(render, 1))
+    assert 3 * best["template"] <= best["dicts"]
+
+
+# sha256 of stdout, recorded before the table and the cross-validate cells were
+# rendered from fragments; the goldens compare floats at FLOAT_TOL, these
+# compare every byte
+STDOUT_SHA256 = {
+    ("table", "--d", "41", "--format", "machine"):
+        "e04dcdb5207f37098e93e86bc7f84dcaf70df862bd3cf87970ee33ce49e33abe",
+    ("table", "--d", "101", "--format", "machine"):
+        "515f8869e4ea53572747e3a288b17c074751dd1965a1fb649e96d9b8de164fe9",
+    ("cross-validate", "--d", "11", "--format", "machine"):
+        "94afecc9507243bb96724aebe1dc75a189e49e13e79413f01dd975af5dd885fc",
+    ("cross-validate", "--d", "19", "--format", "machine"):
+        "1f1fcd86141f24707b379b2f1d230a742a486b432f9d576f0face7b1cb19533a",
+    ("cross-validate", "--d", "11", "--tol", "1e-20"):
+        "8598c7192ba1a5264583a95e2e2d9fd1503e6f4b6ac7c31db0b399a92a234b11",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(STDOUT_SHA256), ids=" ".join)
+def test_rendered_envelope_bytes_are_pinned(capsys, argv):
+    code, out = invoke(capsys, *argv)
+    assert code == (2 if "1e-20" in argv else 0)
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[argv]
+
+
+def test_text_cross_validate_builds_cells_only_where_they_disagree(capsys, monkeypatch):
+    built = []
+    cell = CrossReport.cell
+    monkeypatch.setattr(CrossReport, "cell", lambda report, i: built.append(i) or cell(report, i))
+    code, out = invoke(capsys, "cross-validate", "--d", "11", "--tol", "1e-20")
+    assert code == 2
+    assert len(built) == out.count("DISAGREE") == 1552
 
 
 def test_text_outputs_are_readable(capsys):
@@ -490,12 +584,14 @@ def test_closed_stdout_exits_1_without_traceback():
 
 
 def one_disagreeing_report(dim, tol=1e-9):
-    """A cross-validation report whose only cell disagrees."""
-    from mublogic.experiment import Behavior, CrossCell, CrossReport
-    from mublogic.logic import Proposition
-
-    cell = CrossCell(Proposition.of(1, 2, dim), 0, Behavior.uniform(), Behavior.mixed(), False, 0.0)
-    return CrossReport(dim, tol, (cell,))
+    """A cross-validation report whose only disagreeing cell is axiom {1, 2},
+    m = 0: predicted uniform, observed mixed. Every other cell agrees."""
+    d = dim.d
+    a, b, m = np.ogrid[: d + 1, :d, : d + 1]
+    predicted = np.broadcast_to(np.where(m == a, b, d), (d + 1, d, d + 1)).copy()
+    observed = predicted.copy()
+    observed[1, 2, 0] = d + 1
+    return CrossReport(dim, tol, predicted, observed, predicted == observed, np.zeros(observed.shape))
 
 
 def test_cross_validate_text_names_each_disagreeing_cell(capsys, monkeypatch):

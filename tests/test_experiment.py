@@ -166,6 +166,24 @@ def test_cross_validate_cell_detail():
     assert off.observed == Behavior.uniform()
 
 
+def test_cross_validate_flags_routes_that_agree_on_the_wrong_outcome(monkeypatch):
+    # both routes read axiom {a, b + 1} in place of {a, b}: they agree with
+    # each other, but the m = a cell is not deterministic at n = b
+    from mublogic import experiment
+
+    d = 5
+    column, matrix = experiment._column, experiment.label_count_matrix
+    monkeypatch.setattr(experiment, "_column", lambda n, m, d: column((n + 1) % d, m, d))
+    monkeypatch.setattr(
+        experiment, "label_count_matrix",
+        lambda axiom: matrix(Proposition.of(axiom.a, (axiom.b + 1) % d, axiom.dim)),
+    )
+    report = cross_validate(Dimension(d))
+    wrong = [cell for cell in report.cells if not cell.agree]
+    assert len(wrong) == report.disagreements == (d + 1) * d
+    assert all(cell.m == cell.axiom.a and cell.predicted == cell.observed for cell in wrong)
+
+
 def test_cross_validate_rejects_oversized_d():
     with pytest.raises(ValueError):
         cross_validate(Dimension(37))

@@ -99,3 +99,21 @@ def test_cross_validate_sweep_lists_disagreeing_cells(capsys, monkeypatch):
         "     DISAGREE axiom {1,2} m=0: predicted uniform, observed mixed",
         "1 disagreements",
     ]
+
+
+def test_cross_validate_sweep_builds_cells_only_where_they_disagree(capsys, monkeypatch):
+    from mublogic.experiment import CrossReport
+
+    spec = importlib.util.spec_from_file_location(
+        "cross_validate_sweep", REPO / "scripts" / "cross_validate_sweep.py"
+    )
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    built = []
+    cell = CrossReport.cell
+    monkeypatch.setattr(CrossReport, "cell", lambda report, i: built.append(i) or cell(report, i))
+    monkeypatch.setattr(sys, "argv", ["cross_validate_sweep.py", "--dims", "11", "--tol", "1e-20"])
+    assert sweep.main() == 1
+    out = capsys.readouterr().out
+    assert len(built) == out.count("DISAGREE") == 1552
+    assert out.splitlines()[1].split()[:3] == ["11", "1584", "1552"]
