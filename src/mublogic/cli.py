@@ -252,7 +252,9 @@ def parse_tolerance(text: str) -> float:
 
 
 # every command's options after the shared --d and --format: name ->
-# (help, [(flag, add_argument keywords), ...]); both parser forms read it
+# (help, [(flag, add_argument keywords), ...]); both parser forms and
+# _read_well_formed read it, so the keywords stay within what that reader
+# understands: type, required, default, choices, help and metavar
 _SHARED = [
     ("--d", dict(type=int, required=True, help="prime dimension")),
     ("--format", dict(choices=("text", "machine"), default="text",
@@ -303,12 +305,48 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _read_well_formed(command: str, tail: list[str]) -> argparse.Namespace | None:
+    """The Namespace the command's parser makes of `tail`, when argparse has
+    no choice about it; otherwise None.
+
+    Well formed is: pairs of an exact full option name of the command and a
+    value not starting with "-", each name once, each value converted by the
+    option's type (failing only as argparse catches) and in its choices, and
+    every required option given. The others take their defaults.
+    """
+    options = dict(_SHARED + COMMANDS[command][1])
+    given = dict(zip(tail[::2], tail[1::2]))  # short on a repeated name or an odd count
+    if (2 * len(given) != len(tail) or not given.keys() <= options.keys()
+            or any(text.startswith("-") for text in given.values())
+            or any(kw.get("required") and flag not in given for flag, kw in options.items())):
+        return None
+    values = {flag[2:]: keywords.get("default") for flag, keywords in options.items()}
+    for flag, text in given.items():
+        keywords = options[flag]
+        try:
+            value = keywords.get("type", str)(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        values[flag[2:]] = value
+    return argparse.Namespace(**values)
+
+
 def _parse_argv(argv: list[str]) -> argparse.Namespace:
-    """argv parsed as the full parser would, building only the parser it needs."""
+    """argv parsed as the full parser would, building only the parser it needs.
+
+    After a command name, a well-formed tail is read straight from COMMANDS
+    with no parser built; any other tail (a usage error, help, an abbreviated
+    or joined option, a repeated one, "--") goes to the command's own parser.
+    Without a command name argv goes to the full parser.
+    """
     command = argv[0] if argv and argv[0] in COMMANDS else None
     if command is None:
         return build_parser().parse_args(argv)
-    args = build_parser(command).parse_args(argv[1:])
+    args = _read_well_formed(command, argv[1:])
+    if args is None:
+        args = build_parser(command).parse_args(argv[1:])
     args.command = command
     return args
 

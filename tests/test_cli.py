@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -607,9 +608,10 @@ def test_cross_validate_text_names_each_disagreeing_cell(capsys, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# argument parsing: argv that starts with a command name is parsed by that
-# command's parser alone; the full parser (top level plus every subparser)
-# is the reference it must match
+# argument parsing: argv that starts with a command name is read straight
+# from COMMANDS when well formed, else parsed by that command's parser alone;
+# the full parser (top level plus every subparser) is the reference both
+# must match
 
 
 def parse_outcome(parse, argv):
@@ -762,18 +764,84 @@ def constructed_parsers(monkeypatch, argv) -> list:
         progs.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        with contextlib.suppress(SystemExit):
-            main(argv)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli._Parser, "__init__", counting_init)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            with contextlib.suppress(SystemExit):
+                main(argv)
     return progs
 
 
 @pytest.mark.parametrize("command", sorted(BUDGET_ARGS))
 def test_a_command_builds_only_its_own_parser(monkeypatch, command):
-    for tail in ([*BUDGET_ARGS[command], "--d", "2"], ["--d", "x"], ["--help"]):
+    well_formed = [command, *BUDGET_ARGS[command], "--d", "2"]
+    assert constructed_parsers(monkeypatch, well_formed) == []
+    for tail in (["--d", "x"], ["--help"]):
         progs = constructed_parsers(monkeypatch, [command, *tail])
         assert progs == [f"mublogic {command}"]
+
+
+def test_the_reader_reads_every_op_and_golden_argv_as_the_full_parser(monkeypatch):
+    spec = importlib.util.spec_from_file_location("ops", REPO / "perfbench" / "ops.py")
+    ops = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ops)
+    argvs = [argv for workload in ops.WORKLOADS for seed in range(5)
+             for argv in ops.generate(workload, seed)]
+    full = cli.build_parser()
+    # main parses and checks budgets, but runs no command
+    monkeypatch.setattr(cli, "_HANDLERS", dict.fromkeys(cli.COMMANDS, lambda args: (None, None, "")))
+    for argv in argvs + golden_argvs():
+        args = cli._read_well_formed(argv[0], argv[1:])
+        assert args is not None, argv
+        assert {**vars(args), "command": argv[0]} == vars(full.parse_args(argv))
+        assert constructed_parsers(monkeypatch, argv) == [], argv
+
+
+# argv the reader declines, one rule broken in each; argparse then decides
+DECLINED = [
+    ["run", *BUDGET_ARGS["run"][:-1], str(2**64), "--d", "3"],  # a --seed that parse_seed rejects
+    ["table", "--d", "3", "--format", "json"],  # a value outside the choices
+    ["table", "--d", "3", "--d", "5"],  # a repeated option
+    ["table", "--form", "machine", "--d", "3"],  # an abbreviated name
+    ["table", "--d=3"],  # a value joined to its name
+    ["table", "--d", "-3"],  # values that start with "-"
+    ["probs", "--d", "3", "--axiom", "-1,0", "--measure", "0"],
+    ["table", "--d", "3", "--format", "--"],
+    ["table", "--d", "3", "--", "machine"],  # a bare "--"
+    ["table", "-h", "3"],  # a help flag
+    ["decide", "--d", "3", "--axiom", "1,1"],  # a missing required option
+    ["table", "--d", "3", "--format"],  # an odd token count
+]
+
+
+@pytest.mark.parametrize("argv", DECLINED, ids=" ".join)
+def test_the_reader_declines_other_argv_and_argparse_decides(argv):
+    assert cli._read_well_formed(argv[0], argv[1:]) is None
+    assert_parsed_as_by_the_full_parser(argv)
+
+
+def test_options_use_only_the_keywords_the_reader_understands():
+    for command, (_, options) in cli.COMMANDS.items():
+        parser = cli.build_parser(command)
+        for flag, keywords in cli._SHARED + options:
+            assert keywords.keys() <= {"type", "required", "default", "choices", "help", "metavar"}
+            # argparse passes a string default through the type; the reader does not
+            assert not ("type" in keywords and isinstance(keywords.get("default"), str))
+            assert parser._option_string_actions[flag].dest == flag[2:]
+
+
+def test_reading_a_well_formed_run_argv_at_least_5x_faster_than_its_parser():
+    argv = ["run", "--d", "7", "--axiom", "1,2", "--measure", "3", "--trials", "2000",
+            "--seed", "5", "--format", "machine"]
+    parses = {
+        "reader": lambda: cli._parse_argv(argv),
+        "parser": lambda: cli.build_parser("run").parse_args(argv[1:]),
+    }
+    best = dict.fromkeys(parses, math.inf)
+    for _ in range(5):  # interleaved, so a slow stretch of the host hits both
+        for name, parse in parses.items():
+            best[name] = min(best[name], best_of(parse, 1))
+    assert 5 * best["reader"] <= best["parser"]
 
 
 @pytest.mark.parametrize("argv", [[], ["--help"], ["nope"], ["--d", "3", "table"]], ids=str)
