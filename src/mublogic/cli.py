@@ -44,7 +44,8 @@ MAX_TEXT_TABLE_D = 7
 # size budgets per command, checked before any work, so that a huge --d or
 # --trials fails fast with one error envelope. `table` is bound by its
 # envelope (2 d**2 (d+1) ints, about 10 MB at d = 101), `verify-mub` by a 5 s
-# run (d = 311: 4.8 s end to end, 1 BLAS thread, 2-vCPU VM; 313: up to 5.1 s),
+# run (when set, d = 311: 4.8 s end to end, 1 BLAS thread, 2-vCPU VM; 313: up
+# to 5.1 s; d = 311 takes about 2.2 s since verify reads each pair once),
 # `cross-validate` by time, `probs` and `run` by their d x d basis matrices,
 # `decide` by its primality test and group arrays, and --trials by time
 MAX_D = {
@@ -386,11 +387,12 @@ def _cmd_table(args):
 def _cmd_verify_mub(args):
     dim = Dimension(args.d)
     report = verify(dim, args.tol)
-    payload = _mub_report_doc(dim.d, report)
     failure = None if report.passed else (
         f"MUB verification failed: max deviation {report.max_deviation:.3e} "
         f"exceeds tolerance {args.tol:g}"
     )
+    if args.format == "machine":
+        return _mub_report_doc(dim.d, report), failure, ""
     lines = [
         f"MUB verification for d = {dim.d} (tolerance {args.tol:g})",
         f"  max orthonormality deviation : {report.max_orthonormality_deviation:.3e}",
@@ -399,7 +401,7 @@ def _cmd_verify_mub(args):
         f"  max shift residual           : {report.max_shift_residual:.3e}",
         "PASS" if report.passed else "FAIL",
     ]
-    return payload, failure, "\n".join(lines) + "\n"
+    return None, failure, "\n".join(lines) + "\n"
 
 
 def _cmd_decide(args):
@@ -424,18 +426,20 @@ def _cmd_probs(args):
     dim = Dimension(args.d)
     axiom = Proposition.of(args.axiom[0], args.axiom[1], dim)
     probabilities = born(prepare(axiom), args.measure).tolist()
-    payload = {
-        "d": dim.d,
-        "axiom": list(args.axiom),
-        "measure": args.measure,
-        "probabilities": probabilities,
-    }
+    if args.format == "machine":
+        payload = {
+            "d": dim.d,
+            "axiom": list(args.axiom),
+            "measure": args.measure,
+            "probabilities": probabilities,
+        }
+        return payload, None, ""
     lines = [
         f"Born probabilities for axiom {{{axiom.a},{axiom.b}}}, "
         f"measurement m={args.measure}, d={dim.d}"
     ]
     lines += [f"  n={n}: {p:.12g}" for n, p in enumerate(probabilities)]
-    return payload, None, "\n".join(lines) + "\n"
+    return None, None, "\n".join(lines) + "\n"
 
 
 def _cmd_run(args):
@@ -446,31 +450,33 @@ def _cmd_run(args):
     # without a valid chi-square test the tally is still reported, just
     # without a verdict
     try:
-        uniformity = chi_square_uniform(tally)
-        verdict_line = (
-            f"chi-square statistic {uniformity.chi_square_statistic:.6g} "
-            f"(df {uniformity.degrees_of_freedom}, critical "
-            f"{uniformity.critical_value:g} at alpha {ALPHA}): "
-            f"{uniformity.verdict.value}"
-        )
+        uniformity, skipped = chi_square_uniform(tally), None
     except ValidityError as exc:
-        uniformity, verdict_line = None, f"chi-square skipped: {exc}"
-    payload = {
-        "d": dim.d,
-        "axiom": list(args.axiom),
-        "measure": args.measure,
-        "trials": args.trials,
-        "seed": args.seed,
-        "counts": list(tally.counts),
-        "uniformity": None if uniformity is None else _uniformity_doc(uniformity),
-    }
+        uniformity, skipped = None, exc
+    if args.format == "machine":
+        payload = {
+            "d": dim.d,
+            "axiom": list(args.axiom),
+            "measure": args.measure,
+            "trials": args.trials,
+            "seed": args.seed,
+            "counts": list(tally.counts),
+            "uniformity": None if uniformity is None else _uniformity_doc(uniformity),
+        }
+        return payload, None, ""
     lines = [
         f"counts for axiom {{{axiom.a},{axiom.b}}}, m={args.measure}, "
         f"d={dim.d}, trials={args.trials}, seed={args.seed}"
     ]
     lines += [f"  n={n}: {c}" for n, c in enumerate(tally.counts)]
-    lines.append(verdict_line)
-    return payload, None, "\n".join(lines) + "\n"
+    lines.append(
+        f"chi-square skipped: {skipped}" if uniformity is None else
+        f"chi-square statistic {uniformity.chi_square_statistic:.6g} "
+        f"(df {uniformity.degrees_of_freedom}, critical "
+        f"{uniformity.critical_value:g} at alpha {ALPHA}): "
+        f"{uniformity.verdict.value}"
+    )
+    return None, None, "\n".join(lines) + "\n"
 
 
 def _cmd_cross_validate(args):

@@ -8,11 +8,11 @@ Bases a = 0..d-1 are eigenbases of X Z^a; basis a = d is the computational
 with exponents reduced mod d (Wootters & Fields 1989, Ann. Phys. 191, 363).
 The labeling convention is fixed by the Z-shift property
 Z|j>_a = |j-1 mod d>_a (exact, no phase), which the encoding layer relies
-on. Bases, states and operators are plain complex128 arrays:
-basis_matrix() builds B_a, the d x d matrix with |j>_a as column j, in one
-step; basis_state() computes its column j alone, by the same formula, bit
-for bit, as a contiguous vector; verify() builds its columns the same way,
-from one eta table.
+on. Bases, states and operators are plain complex128 arrays. Each basis
+entry is gathered from one table of the d roots of unity scaled by
+1/sqrt(d): basis_matrix() builds B_a, the d x d matrix with |j>_a as column
+j; basis_state() its column j alone, bit for bit, as a contiguous vector.
+verify() reads each basis pair once, in a half gemm.
 
 d = 2 needs one special case: the integer-exponent formula cannot produce
 the X Z eigenbasis (that basis has imaginary components), so basis a = 1 is
@@ -81,9 +81,9 @@ def _roots(dim: Dimension) -> np.ndarray:  # eta^e for e = 0..d-1
     return np.array([root_of_unity(dim, e) for e in range(dim.d)])
 
 
-def _columns(dim: Dimension, a: int, j: np.ndarray, eta=None) -> np.ndarray:
-    """Columns j (an int array) of B_a, from eta = _roots(dim) (built here if
-    not given); no entry's bits depend on which j are asked for."""
+def _columns(dim: Dimension, a: int, j: np.ndarray, scaled=None) -> np.ndarray:
+    """Columns j (an int array) of B_a, gathered from scaled = (1/sqrt(d)) *
+    _roots(dim) (built here if not given); no entry's bits depend on j."""
     d = dim.d
     k = np.arange(d)[:, None]
     if a == d:
@@ -93,10 +93,9 @@ def _columns(dim: Dimension, a: int, j: np.ndarray, eta=None) -> np.ndarray:
         half = 1.0 / math.sqrt(2.0)
         return np.array([[half, half], [1j * half, -1j * half]]).take(j, axis=1)
     s = (d - k) * (d + k - 1) // 2  # s_k = k + (k+1) + ... + (d-1)
-    exponents = -(k * j + a * s) % d  # row k, column j
-    if eta is None:
-        eta = _roots(dim)
-    return (1.0 / math.sqrt(d)) * eta[exponents]
+    if scaled is None:
+        scaled = (1.0 / math.sqrt(d)) * _roots(dim)
+    return scaled[(-(k * j) - a * s) % d]  # row k, column j
 
 
 def verify(dim: Dimension, tol: float = 1e-10) -> MubReport:
@@ -109,30 +108,32 @@ def verify(dim: Dimension, tol: float = 1e-10) -> MubReport:
 
     Z is unitary, so the labeling Z|j>_a = |j-1>_a makes every overlap matrix
     circulant, <j_a|k_m> = <j-k_a|0_m> for a, m < d, and gives each row of
-    B_m one modulus. So with F the d x (d+1) matrix of first columns
-    B_m[:, 0], G = B_a^dagger F holds every distinct overlap of basis a:
-    column a for orthonormality, the others for unbiasedness (a pair a < d
-    read at a = d, where G is F). Each B_a is built once, one at a time,
-    O(d^4) in all, and F from one column of each, all from one table of the
-    d roots of unity per call that also gives the phases of X Z^a and Z.
+    B_m one modulus. So G = B_a^dagger F[:, :a+1], with F the first columns
+    B_m[:, 0] filled as each B_a is built (once), reads each pair once, from
+    its later basis: column a for orthonormality, the others for unbiasedness
+    (a pair with m = d at a = d, where G is F). And X Z^a Z^(-j) =
+    eta^j Z^(-j) X Z^a, so |j>_a = Z^(-j)|0>_a has the eigen residual of column
+    0, the one read. One root-of-unity table gives the columns and phases.
 
-    The reduction holds only because the shift check is part of `passed`:
-    if the shift residual is eps, each overlap is within about 2(d-1) eps of
-    its representative, and the two overlap fields are maxima over these
-    representatives. The shift check covers only a < d; B_d is instead
-    checked to be the identity (the Z eigenbasis, each state |j> labelled
-    j), entry by entry, and max|B_d - I| is part of the orthonormality
-    deviation. So a relabelled or repeated Z-basis state fails.
+    These reductions hold only because the shift check, over every column,
+    is part of `passed`: if the shift residual is eps, each overlap and each
+    column's eigen residual is within about 2(d-1) eps of its representative,
+    and those fields are maxima over the representatives. The shift check
+    covers only a < d; B_d is instead checked to be the identity entry by
+    entry (each Z eigenstate |j> labelled j), and max|B_d - I| is part of the
+    orthonormality deviation: a relabelled or repeated Z-basis state fails.
     """
     d = dim.d
     k = np.arange(d)
     eta = _roots(dim)
-    first = np.hstack([_columns(dim, m, k[:1], eta) for m in range(d + 1)])
+    scaled = (1.0 / math.sqrt(d)) * eta
+    first = np.empty((d, d + 1), dtype=np.complex128)
 
-    ortho = unbias = eigen = shift = 0.0
+    ortho = unbias = eigen = shift = 0.0  # eigen and shift as squared norms
     for a in range(d + 1):
-        basis = _columns(dim, a, k, eta)
-        overlaps = basis.conj().T @ first
+        basis = _columns(dim, a, k, scaled)
+        first[:, a] = column = basis[:, 0]
+        overlaps = basis.conj().T @ first[:, : a + 1]
         ortho = max(ortho, float(np.max(np.abs(overlaps[:, a] - (k == 0)))))  # against e_0
         deviations = np.abs(np.abs(overlaps) ** 2 - 1.0 / d)
         deviations[:, a] = 0.0  # column a is basis a itself; deviations are >= 0
@@ -140,14 +141,13 @@ def verify(dim: Dimension, tol: float = 1e-10) -> MubReport:
         if a == d:
             ortho = max(ortho, float(np.max(np.abs(basis - np.eye(d)))))
             continue
-        # X Z^a B_a: row k scaled by eta^(a k), then rolled down one row
-        image = np.roll(eta[(a * k) % d, None] * basis, 1, axis=0)
-        eigenvalues = np.sum(basis.conj() * image, axis=0)  # Rayleigh quotients
-        residuals = np.linalg.norm(image - basis * eigenvalues, axis=0)
-        eigen = max(eigen, float(np.max(residuals)))
-        residuals = np.linalg.norm(eta[:, None] * basis - basis[:, k - 1], axis=0)
-        shift = max(shift, float(np.max(residuals)))
+        image = (eta[(a * k) % d] * column)[k - 1]  # X Z^a |0>_a
+        residual = image - np.vdot(column, image) * column  # by its Rayleigh quotient
+        eigen = max(eigen, float(np.vdot(residual, residual).real))
+        residuals = eta[:, None] * basis - basis[:, k - 1]  # Z|j>_a - |j-1>_a
+        shift = max(shift, float(np.max(np.sum(residuals.real**2 + residuals.imag**2, axis=0))))
 
+    eigen, shift = math.sqrt(eigen), math.sqrt(shift)
     passed = max(ortho, unbias, eigen, shift) < tol
     return MubReport(ortho, unbias, eigen, shift, tol, passed)
 

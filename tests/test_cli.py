@@ -499,8 +499,9 @@ def test_cross_report_template_at_least_3x_faster_than_per_cell_dicts_at_d11():
 
 
 # sha256 of stdout, recorded before the table and the cross-validate cells were
-# rendered from fragments; the goldens compare floats at FLOAT_TOL, these
-# compare every byte
+# rendered from fragments, and the verify-mub reports (the cheapest and the
+# dearest verify op of the bench) after verify moved to its half gemm; the
+# goldens compare floats at FLOAT_TOL, these compare every byte
 STDOUT_SHA256 = {
     ("table", "--d", "41", "--format", "machine"):
         "e04dcdb5207f37098e93e86bc7f84dcaf70df862bd3cf87970ee33ce49e33abe",
@@ -512,6 +513,10 @@ STDOUT_SHA256 = {
         "1f1fcd86141f24707b379b2f1d230a742a486b432f9d576f0face7b1cb19533a",
     ("cross-validate", "--d", "11", "--tol", "1e-20"):
         "8598c7192ba1a5264583a95e2e2d9fd1503e6f4b6ac7c31db0b399a92a234b11",
+    ("verify-mub", "--d", "29", "--format", "machine"):
+        "8dd18cdfd7c78982db9a2d61161a83a27500dee2a5df22f76b8ee476cfc0dd6c",
+    ("verify-mub", "--d", "73", "--format", "machine"):
+        "8a7dc0303560b8860d6afecb8ce0c5bbdcbf58bd5f5ce5ad8fecc55eb2077ab0",
 }
 
 

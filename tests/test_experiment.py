@@ -196,9 +196,9 @@ def test_cross_validate_builds_each_basis_twice_and_no_single_state(monkeypatch,
     widths = []
     columns = mub._columns
 
-    def counting(dim, a, j, eta=None):
+    def counting(dim, a, j, scaled=None):
         widths.append(len(j))
-        return columns(dim, a, j, eta)
+        return columns(dim, a, j, scaled)
 
     def no_state(*args):
         raise AssertionError("basis_state called")

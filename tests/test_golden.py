@@ -12,6 +12,13 @@ re-captured when verify() moved to one representative column per basis
 pair: its four deviation fields, and the maximum that the --tol 1e-20
 error message quotes, are maxima over fewer entries, each summed in a
 different order. The d = 2 records did not change.
+
+All eight `verify-mub` records (d = 2, 3, 5, 7, both tolerances) were
+re-captured a second time when verify() moved to a half gemm, each pair
+read once from its later basis, and to the eigen residual of column 0
+alone: the orthonormality, unbiasedness and eigen fields, and the maxima
+that the --tol 1e-20 messages quote at d = 3, 5 and 7, moved; the shift
+field did not.
 """
 
 import json

@@ -147,6 +147,33 @@ def test_basis_zero_is_ket_like_for_pin_row():
     assert np.array_equal(basis_state(d3, 3, 0), np.eye(3)[:, 0])
 
 
+def per_entry_basis(dim: Dimension, a: int, eta: np.ndarray) -> np.ndarray:
+    """B_a with each entry (1/sqrt(d)) * eta[-(k j + a s_k) % d], scaled after
+    its gather, as _columns once computed it."""
+    d = dim.d
+    if a == d:
+        return np.eye(d, dtype=np.complex128)
+    if d == 2 and a == 1:
+        half = 1.0 / math.sqrt(2.0)
+        return np.array([[half, half], [1j * half, -1j * half]])
+    k = np.arange(d)[:, None]
+    s = np.array([sum(range(r, d)) for r in range(d)])[:, None]
+    return (1.0 / math.sqrt(d)) * eta[-(k * np.arange(d) + a * s) % d]
+
+
+@pytest.mark.parametrize("d", [p for p in range(2, 102) if is_prime(p)] + [211, 311])
+def test_columns_have_the_bits_of_the_per_entry_formula(d):
+    # gathering from the table scaled in advance must not move a bit: the
+    # born sha256 pins and the envelope pins of cross-validate and table
+    # rest on these entries
+    dim = Dimension(d)
+    eta = np.array([root_of_unity(dim, e) for e in range(d)])
+    for a in range(d + 1) if d <= 101 else (0, 1, d - 1, d):
+        expected = per_entry_basis(dim, a, eta)
+        assert mub._columns(dim, a, np.arange(d)).tobytes() == expected.tobytes(), a
+        assert basis_state(dim, a, d - 1).tobytes() == expected[:, d - 1].tobytes(), a
+
+
 # ---------------------------------------------------------------------------
 # verify() reads one representative column per basis pair; the reference
 # below is the full pairwise check it replaced, O(d^5). Both build their
@@ -209,10 +236,11 @@ def test_verify_matches_the_full_pairwise_reference(d):
         assert verify(dim, tol).passed == reference_verify(dim, tol).passed
 
 
-def two_build_verify(dim: Dimension, tol: float = 1e-10) -> MubReport:
-    """verify() with every basis from basis_matrix: F from whole builds, each
-    B_a built again in the loop, eta from pauli_z. verify() matches it bit
-    for bit."""
+def full_column_verify(dim: Dimension, tol: float = 1e-10) -> MubReport:
+    """The verify() that read every pair from both ends, G = B_a^dagger F over
+    all d+1 first columns, and took the eigen residual of every column, with
+    every basis from basis_matrix: F from whole builds, each B_a built again
+    in the loop, eta from pauli_z."""
     d = dim.d
     k = np.arange(d)
     eta = pauli_z(dim).diagonal()
@@ -239,6 +267,52 @@ def two_build_verify(dim: Dimension, tol: float = 1e-10) -> MubReport:
 
     passed = max(ortho, unbias, eigen, shift) < tol
     return MubReport(ortho, unbias, eigen, shift, tol, passed)
+
+
+def two_build_verify(dim: Dimension, tol: float = 1e-10) -> MubReport:
+    """verify() with every basis from basis_matrix: F from whole builds, each
+    B_a built again in the loop, eta from pauli_z, rolls for the X and the
+    column shift. verify() matches it bit for bit."""
+    d = dim.d
+    k = np.arange(d)
+    eta = pauli_z(dim).diagonal()
+    first = np.empty((d, d + 1), dtype=np.complex128)
+    for m in range(d + 1):
+        first[:, m] = basis_matrix(dim, m)[:, 0]
+
+    ortho = unbias = eigen = shift = 0.0
+    for a in range(d + 1):
+        basis = basis_matrix(dim, a)
+        overlaps = basis.conj().T @ first[:, : a + 1]  # each pair at its later basis
+        deviations = np.abs(np.abs(overlaps[:, :a]) ** 2 - 1.0 / d)
+        ortho = max(ortho, float(np.max(np.abs(overlaps[:, a] - (k == 0)))))
+        unbias = max(unbias, float(np.max(deviations, initial=0.0)))
+        if a == d:
+            ortho = max(ortho, float(np.max(np.abs(basis - np.eye(d)))))
+            continue
+        image = np.roll(eta[(a * k) % d] * basis[:, 0], 1)  # column 0 only
+        residual = image - np.vdot(basis[:, 0], image) * basis[:, 0]
+        eigen = max(eigen, float(np.vdot(residual, residual).real))
+        residuals = eta[:, None] * basis - np.roll(basis, 1, axis=1)
+        shift = max(shift, float(np.max(np.sum(residuals.real**2 + residuals.imag**2, axis=0))))
+
+    eigen, shift = math.sqrt(eigen), math.sqrt(shift)
+    passed = max(ortho, unbias, eigen, shift) < tol
+    return MubReport(ortho, unbias, eigen, shift, tol, passed)
+
+
+@pytest.mark.parametrize("d", PRIMES_TO_31)
+def test_verify_matches_the_full_column_algorithm(d):
+    # the half gemm drops the second reading of each pair, and the eigen
+    # residual of columns j > 0; both are within the docstring bound
+    dim = Dimension(d)
+    full = full_column_verify(dim)
+    report = verify(dim)
+    bound = 2 * (d - 1) * full.max_shift_residual + 4 * d * np.finfo(float).eps
+    for field in FIELDS:
+        assert abs(getattr(report, field) - getattr(full, field)) <= bound, field
+    for tol in (1e-10, 1e-20):
+        assert verify(dim, tol).passed == full_column_verify(dim, tol).passed
 
 
 @pytest.mark.parametrize("d", [p for p in range(2, 102) if is_prime(p)])
@@ -283,7 +357,7 @@ def _patch_bases(monkeypatch, mutant) -> None:
         return columns(dim, a, np.arange(dim.d))
 
     monkeypatch.setattr(
-        mub, "_columns", lambda dim, a, j, eta=None: mutant(original, dim, a)[:, j]
+        mub, "_columns", lambda dim, a, j, scaled=None: mutant(original, dim, a)[:, j]
     )
 
 
@@ -296,11 +370,36 @@ def _assert_both_fail(monkeypatch, dim: Dimension, mutant) -> None:
 @pytest.mark.parametrize("d", [3, 5, 7])
 def test_wrong_s_k_fails_both_verifies(monkeypatch, d):
     # B_a becomes B_{-a}: still a MUB set, shift-labelled, but not the
-    # eigenbasis of X Z^a
+    # eigenbasis of X Z^a, which verify sees from column 0 alone
     _assert_both_fail(
         monkeypatch, Dimension(d),
         lambda original, dim, a: _sum_below(d, a) if 0 < a < d else original(dim, a),
     )
+    report = verify(Dimension(d))
+    assert report.max_eigen_residual >= 1e-10
+    for field in FIELDS:
+        if field != "max_eigen_residual":
+            assert getattr(report, field) < 1e-10, field
+
+
+@pytest.mark.parametrize("d, j", [(2, 1), (3, 2), (5, 4), (7, 6), (3, 1), (7, 3)])
+def test_rephased_column_fails_only_the_shift_check(monkeypatch, d, j):
+    # |j>_1 times a unit phase is still an eigenvector of X Z with the same
+    # eigenvalue, and keeps every overlap's modulus; verify reads neither from
+    # it, and only the shift labelling around column j sees it (for j inside
+    # 1..d-2, not the pair of columns 0 and d-1)
+    def mutant(original, dim, a):
+        matrix = original(dim, a)
+        if a == 1:
+            matrix[:, j] *= cmath.exp(0.1j)
+        return matrix
+
+    _assert_both_fail(monkeypatch, Dimension(d), mutant)
+    report = verify(Dimension(d))
+    assert report.max_shift_residual >= 1e-10
+    for field in FIELDS:
+        if field != "max_shift_residual":
+            assert getattr(report, field) < 1e-10, field
 
 
 @pytest.mark.parametrize("d", [3, 5, 7])
@@ -381,12 +480,21 @@ def test_every_basis_verify_reads_goes_through_the_mutant_seam(monkeypatch, d):
             assert not verify(dim).passed, perturbed
 
 
-def test_verify_is_five_times_faster_than_the_reference_at_d61():
-    dim = Dimension(61)
-    best = {verify: math.inf, reference_verify: math.inf}
-    for _ in range(3):  # interleaved, so a slow stretch of the host hits both
+def best_times(dim: Dimension, checks, rounds: int) -> dict:
+    best = dict.fromkeys(checks, math.inf)
+    for _ in range(rounds):  # interleaved, so a slow stretch of the host hits each
         for check in best:
             start = time.perf_counter()
             check(dim)
             best[check] = min(best[check], time.perf_counter() - start)
+    return best
+
+
+def test_verify_is_five_times_faster_than_the_reference_at_d61():
+    best = best_times(Dimension(61), (verify, reference_verify), 3)
     assert 5 * best[verify] < best[reference_verify]
+
+
+def test_verify_is_faster_than_the_full_column_algorithm_at_d61():
+    best = best_times(Dimension(61), (verify, full_column_verify), 5)
+    assert 1.3 * best[verify] <= best[full_column_verify]
