@@ -3,11 +3,13 @@
 Every invocation emits exactly one envelope on standard output. In machine
 format the envelope is a single-line JSON document with floats rendered to
 17 significant digits (enough to round-trip any double), table groups joined
-from the d**2 pair strings "[f0, f1]" and cross-validation cells filled into
-one template; in text format it is a human-readable rendering of the same.
+from the d**2 pair strings "[f0, f1]", cross-validation cells filled into
+one template and Born probabilities into another; in text format it is a
+human-readable rendering of the same.
 
-Exit codes: 0 success, 1 usage or input error, 2 validation failure (a
-verification command ran but its checks did not pass).
+Exit codes: 0 success, 1 usage or input error (a non-finite float in a
+machine envelope among them), 2 validation failure (a verification command
+ran but its checks did not pass).
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ MAX_TEXT_TABLE_D = 7
 # --trials fails fast with one error envelope. `table` is bound by its
 # envelope (2 d**2 (d+1) ints, about 10 MB at d = 101), `verify-mub` by a 5 s
 # run (when set, d = 311: 4.8 s end to end, 1 BLAS thread, 2-vCPU VM; 313: up
-# to 5.1 s; d = 311 takes about 2.2 s since verify reads each pair once),
+# to 5.1 s; d = 311 now takes 1.6-1.8 s, its d+1 bases gathered from one
+# doubled root table and one array of base exponents),
 # `cross-validate` by time, `probs` and `run` by their d x d basis matrices,
 # `decide` by its primality test and group arrays, and --trials by time
 MAX_D = {
@@ -94,6 +97,14 @@ def to_json(value) -> str:
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(to_json(v) for v in value) + "]"
     raise TypeError(f"unserializable value: {value!r}")
+
+
+def floats_json(values: np.ndarray) -> Fragment:
+    """A float64 array as a JSON list: the bytes to_json gives for
+    values.tolist(), non-finite values rejected alike."""
+    if not np.isfinite(values).all():
+        raise ValueError("only finite numbers are serializable")
+    return Fragment("[" + ", ".join(["%.17g"] * len(values)) % tuple(values.tolist()) + "]")
 
 
 def _behavior_doc(behavior: Behavior) -> dict:
@@ -425,20 +436,20 @@ def _cmd_decide(args):
 def _cmd_probs(args):
     dim = Dimension(args.d)
     axiom = Proposition.of(args.axiom[0], args.axiom[1], dim)
-    probabilities = born(prepare(axiom), args.measure).tolist()
+    probabilities = born(prepare(axiom), args.measure)
     if args.format == "machine":
         payload = {
             "d": dim.d,
             "axiom": list(args.axiom),
             "measure": args.measure,
-            "probabilities": probabilities,
+            "probabilities": floats_json(probabilities),
         }
         return payload, None, ""
     lines = [
         f"Born probabilities for axiom {{{axiom.a},{axiom.b}}}, "
         f"measurement m={args.measure}, d={dim.d}"
     ]
-    lines += [f"  n={n}: {p:.12g}" for n, p in enumerate(probabilities)]
+    lines += [f"  n={n}: {p:.12g}" for n, p in enumerate(probabilities.tolist())]
     return None, None, "\n".join(lines) + "\n"
 
 
@@ -532,6 +543,9 @@ def main(argv=None) -> int:
     try:
         check_budget(args.command, args.d, getattr(args, "trials", None))
         payload, failure, text = _HANDLERS[args.command](args)
+        if args.format == "machine":  # rendered in the try: a non-finite float is an input error
+            status = "ok" if failure is None else "error"
+            text = to_json(_envelope(args.command, parameters, status, payload, failure))
     except (NotPrimeError, DimensionMismatch, ValidityError, ValueError) as exc:
         envelope = _envelope(args.command, parameters, "error", None, str(exc))
         if args.format == "machine":
@@ -540,18 +554,11 @@ def main(argv=None) -> int:
             print(f"error: {exc}")
         return 1
 
-    if failure is None:
-        envelope = _envelope(args.command, parameters, "ok", payload)
-        code = 0
-    else:
-        envelope = _envelope(args.command, parameters, "error", payload, failure)
-        code = 2
-
     if args.format == "machine":
-        print(to_json(envelope))
+        print(text)
     else:
         sys.stdout.write(text)
-    return code
+    return 0 if failure is None else 2
 
 
 def entrypoint(run=main) -> None:

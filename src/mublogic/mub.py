@@ -8,11 +8,16 @@ Bases a = 0..d-1 are eigenbases of X Z^a; basis a = d is the computational
 with exponents reduced mod d (Wootters & Fields 1989, Ann. Phys. 191, 363).
 The labeling convention is fixed by the Z-shift property
 Z|j>_a = |j-1 mod d>_a (exact, no phase), which the encoding layer relies
-on. Bases, states and operators are plain complex128 arrays. Each basis
-entry is gathered from one table of the d roots of unity scaled by
-1/sqrt(d): basis_matrix() builds B_a, the d x d matrix with |j>_a as column
-j; basis_state() its column j alone, bit for bit, as a contiguous vector.
-verify() reads each basis pair once, in a half gemm.
+on. Bases, states and operators are plain complex128 arrays.
+
+The d roots of unity are computed in one vectorized cos/sin pass, with the
+angles and the bits of qlinalg.root_of_unity. Each basis entry is gathered
+from that table scaled by 1/sqrt(d) and stored twice end to end (length 2d),
+at index base + ((-a s_k) mod d) with base = (-(k j)) mod d: both terms lie
+in [0, d), so their sum needs no reduction. basis_matrix() builds B_a, the
+d x d matrix with |j>_a as column j; basis_state() its column j alone, bit
+for bit, as a contiguous vector. verify() builds one table and one base for
+all d+1 bases, and reads each basis pair once, in a half gemm.
 
 d = 2 needs one special case: the integer-exponent formula cannot produce
 the X Z eigenbasis (that basis has imaginary components), so basis a = 1 is
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .modmath import Dimension
-from .qlinalg import pauli_x, pauli_z, root_of_unity
+from .qlinalg import pauli_x, pauli_z
 
 
 @dataclass(frozen=True)
@@ -77,13 +82,32 @@ def _check_index(dim: Dimension, a: int) -> None:
         raise ValueError(f"basis index {a} out of range [0, {dim.d}]")
 
 
-def _roots(dim: Dimension) -> np.ndarray:  # eta^e for e = 0..d-1
-    return np.array([root_of_unity(dim, e) for e in range(dim.d)])
+def _roots(dim: Dimension) -> np.ndarray:
+    """eta^e for e = 0..d-1, bit for bit [root_of_unity(dim, e) for e in range(d)]:
+    the same float angles, through np.cos and np.sin instead of math's."""
+    d = dim.d
+    angles = 2.0 * math.pi * np.arange(d) / d
+    roots = np.empty(d, dtype=np.complex128)
+    roots.real = np.cos(angles)
+    roots.imag = np.sin(angles)
+    return roots
 
 
-def _columns(dim: Dimension, a: int, j: np.ndarray, scaled=None) -> np.ndarray:
-    """Columns j (an int array) of B_a, gathered from scaled = (1/sqrt(d)) *
-    _roots(dim) (built here if not given); no entry's bits depend on j."""
+def _table(eta: np.ndarray) -> np.ndarray:
+    """(1/sqrt(d)) * eta stored twice end to end, so that entry e is
+    (1/sqrt(d)) eta^(e mod d) for every e in [0, 2d)."""
+    d = len(eta)
+    table = np.empty(2 * d, dtype=np.complex128)
+    table[:d] = table[d:] = (1.0 / math.sqrt(d)) * eta
+    return table
+
+
+def _columns(dim: Dimension, a: int, j: np.ndarray, table=None, base=None) -> np.ndarray:
+    """Columns j (an int array) of B_a, entry (k, j) gathered from
+    table = _table(_roots(dim)) at base + ((-a s_k) mod d), with base the
+    exponents (-(k j)) mod d; each is built here if not given. Both terms
+    lie in [0, d), so the index needs no reduction: entry e of the doubled
+    table is the root of exponent e mod d. No entry's bits depend on j."""
     d = dim.d
     k = np.arange(d)[:, None]
     if a == d:
@@ -93,9 +117,11 @@ def _columns(dim: Dimension, a: int, j: np.ndarray, scaled=None) -> np.ndarray:
         half = 1.0 / math.sqrt(2.0)
         return np.array([[half, half], [1j * half, -1j * half]]).take(j, axis=1)
     s = (d - k) * (d + k - 1) // 2  # s_k = k + (k+1) + ... + (d-1)
-    if scaled is None:
-        scaled = (1.0 / math.sqrt(d)) * _roots(dim)
-    return scaled[(-(k * j) - a * s) % d]  # row k, column j
+    if table is None:
+        table = _table(_roots(dim))
+    if base is None:
+        base = (-k * j) % d
+    return table[base + (-a * s) % d]  # row k, column j
 
 
 def verify(dim: Dimension, tol: float = 1e-10) -> MubReport:
@@ -113,7 +139,8 @@ def verify(dim: Dimension, tol: float = 1e-10) -> MubReport:
     its later basis: column a for orthonormality, the others for unbiasedness
     (a pair with m = d at a = d, where G is F). And X Z^a Z^(-j) =
     eta^j Z^(-j) X Z^a, so |j>_a = Z^(-j)|0>_a has the eigen residual of column
-    0, the one read. One root-of-unity table gives the columns and phases.
+    0, the one read. One root-of-unity table gives the phases, and its
+    doubled, scaled copy with one array of base exponents every column.
 
     These reductions hold only because the shift check, over every column,
     is part of `passed`: if the shift residual is eps, each overlap and each
@@ -126,12 +153,12 @@ def verify(dim: Dimension, tol: float = 1e-10) -> MubReport:
     d = dim.d
     k = np.arange(d)
     eta = _roots(dim)
-    scaled = (1.0 / math.sqrt(d)) * eta
+    table, base = _table(eta), (-k[:, None] * k) % d  # base: shared by every B_a
     first = np.empty((d, d + 1), dtype=np.complex128)
 
     ortho = unbias = eigen = shift = 0.0  # eigen and shift as squared norms
     for a in range(d + 1):
-        basis = _columns(dim, a, k, scaled)
+        basis = _columns(dim, a, k, table, base)
         first[:, a] = column = basis[:, 0]
         overlaps = basis.conj().T @ first[:, : a + 1]
         ortho = max(ortho, float(np.max(np.abs(overlaps[:, a] - (k == 0)))))  # against e_0

@@ -18,7 +18,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mublogic import cli
-from mublogic.cli import MAX_D, MAX_TRIALS, Fragment, _cross_report_doc, main, table_json, to_json
+from mublogic.cli import (
+    MAX_D, MAX_TRIALS, Fragment, _cross_report_doc, floats_json, main, table_json, to_json,
+)
+from mublogic.devices import born
 from mublogic.experiment import CrossReport, cross_validate
 from mublogic.logic import partition_array
 from mublogic.modmath import Dimension, is_prime
@@ -38,6 +41,13 @@ def invoke(capsys, *argv):
 def invoke_machine(capsys, *argv):
     code, out = invoke(capsys, *argv, "--format", "machine")
     return code, json.loads(out)
+
+
+def module_env(**overrides) -> dict:
+    """The environment for `python -m mublogic` in a subprocess: src on PYTHONPATH."""
+    env = dict(os.environ, **overrides)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    return env
 
 
 def test_table_d3_matches_golden_file(capsys):
@@ -484,6 +494,46 @@ def test_cross_report_rejects_a_non_finite_deviation():
         to_json(_cross_report_doc(report))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_floats_json_is_to_json_of_the_list_and_rejects_non_finite(bad):
+    values = np.array([0.1, -0.0, 1.0, 1 / 3, 5e-324, 1e300, 2.0**-30])
+    assert floats_json(values) == to_json(values.tolist())
+    assert floats_json(np.empty(0)) == "[]"
+    values[2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        floats_json(values)
+
+
+def assert_one_error_envelope(capsys, argv):
+    jsonschema = pytest.importorskip("jsonschema")
+    code, out = invoke(capsys, *argv, "--format", "machine")
+    assert code == 1 and out.count("\n") == 1 and "nan" not in out.lower()
+    env = json.loads(out)
+    jsonschema.validate(env, json.loads(ENVELOPE_SCHEMA.read_text()))
+    assert (env["status"], env["payload"]) == ("error", None)
+    assert env["error_message"] == "only finite numbers are serializable"
+
+
+def test_a_non_finite_probability_is_one_error_envelope(capsys, monkeypatch):
+    def nan_born(state, m):
+        probabilities = born(state, m)
+        probabilities[0] = math.nan
+        return probabilities
+
+    monkeypatch.setattr(cli, "born", nan_born)
+    assert_one_error_envelope(capsys, ["probs", "--d", "5", "--axiom", "1,2", "--measure", "3"])
+
+
+def test_a_non_finite_cross_validate_deviation_is_one_error_envelope(capsys, monkeypatch):
+    def nan_report(dim, tol):
+        report = cross_validate(dim, tol)
+        report.deviation[1, 0, 2] = math.nan
+        return report
+
+    monkeypatch.setattr(cli, "cross_validate", nan_report)
+    assert_one_error_envelope(capsys, ["cross-validate", "--d", "3"])
+
+
 def test_cross_report_template_at_least_3x_faster_than_per_cell_dicts_at_d11():
     report = cross_validate(Dimension(11))
     cells = report.cells  # the reference rendered cells that already existed
@@ -517,14 +567,22 @@ STDOUT_SHA256 = {
         "8dd18cdfd7c78982db9a2d61161a83a27500dee2a5df22f76b8ee476cfc0dd6c",
     ("verify-mub", "--d", "73", "--format", "machine"):
         "8a7dc0303560b8860d6afecb8ce0c5bbdcbf58bd5f5ce5ad8fecc55eb2077ab0",
+    ("probs", "--d", "97", "--axiom", "5,3", "--measure", "11", "--format", "machine"):
+        "767bd066c602f63d4121ab6aaccc8d9d6bfb4ced3f6ee44a0701d9765a8b4816",
+    ("probs", "--d", "1009", "--axiom", "1,1", "--measure", "0", "--format", "machine"):
+        "410091c8ec7ce09c2384603e1a0a45d04608c21d7c9c5a8f288628e6ed3d4e6d",
 }
 
 
 @pytest.mark.parametrize("argv", sorted(STDOUT_SHA256), ids=" ".join)
-def test_rendered_envelope_bytes_are_pinned(capsys, argv):
-    code, out = invoke(capsys, *argv)
-    assert code == (2 if "1e-20" in argv else 0)
-    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[argv]
+def test_rendered_envelope_bytes_are_pinned(argv):
+    # in a process with one BLAS thread, as the benchmark runs: a gemv split
+    # over threads sums in other blocks, so the bits of probs --d 97 depend
+    # on the thread count
+    env = module_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "mublogic", *argv], capture_output=True, env=env)
+    assert proc.returncode == (2 if "1e-20" in argv else 0)
+    assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[argv]
 
 
 def test_text_cross_validate_builds_cells_only_where_they_disagree(capsys, monkeypatch):
@@ -573,9 +631,7 @@ def read_head_then_close(argv: list[str]) -> tuple[int, str]:
     Every argv used here prints well over a pipe buffer, so the writer is
     still writing when the pipe closes. Returns the exit code and stderr.
     """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=module_env())
     assert len(proc.stdout.read(50)) == 50
     proc.stdout.close()
     code = proc.wait(timeout=60)

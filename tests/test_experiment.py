@@ -196,9 +196,9 @@ def test_cross_validate_builds_each_basis_twice_and_no_single_state(monkeypatch,
     widths = []
     columns = mub._columns
 
-    def counting(dim, a, j, scaled=None):
+    def counting(dim, a, j, table=None, base=None):
         widths.append(len(j))
-        return columns(dim, a, j, scaled)
+        return columns(dim, a, j, table, base)
 
     def no_state(*args):
         raise AssertionError("basis_state called")

@@ -328,16 +328,25 @@ def test_verify_is_bit_identical_to_the_two_build_algorithm(d):
 @pytest.mark.parametrize("d", [2, 3, 31, 97])
 def test_verify_builds_one_table_of_roots(monkeypatch, d):
     calls = []
+    roots = mub._roots
 
-    def counting(dim, e):
-        calls.append(e)
-        return root_of_unity(dim, e)
+    def counting(dim):
+        calls.append(dim.d)
+        return roots(dim)
 
-    # mub and pauli_z each look root_of_unity up in their own module
-    monkeypatch.setattr(mub, "root_of_unity", counting)
-    monkeypatch.setattr(qlinalg, "root_of_unity", counting)
+    monkeypatch.setattr(mub, "_roots", counting)
+    monkeypatch.setattr(qlinalg, "root_of_unity", None)  # and no pauli_z, root by root
     verify(Dimension(d))
-    assert sorted(calls) == list(range(d))
+    assert calls == [d]
+
+
+def test_roots_have_the_bits_of_root_of_unity():
+    # the vectorized table takes the same float angles through np.cos and
+    # np.sin; every basis entry, up to the probs and run budget, rests on it
+    for d in (p for p in range(2, 1010) if is_prime(p)):
+        dim = Dimension(d)
+        expected = np.array([root_of_unity(dim, e) for e in range(d)])
+        assert mub._roots(dim).tobytes() == expected.tobytes(), d
 
 
 def _sum_below(d: int, a: int) -> np.ndarray:
@@ -357,7 +366,7 @@ def _patch_bases(monkeypatch, mutant) -> None:
         return columns(dim, a, np.arange(dim.d))
 
     monkeypatch.setattr(
-        mub, "_columns", lambda dim, a, j, scaled=None: mutant(original, dim, a)[:, j]
+        mub, "_columns", lambda dim, a, j, table=None, base=None: mutant(original, dim, a)[:, j]
     )
 
 
