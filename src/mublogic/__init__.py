@@ -7,8 +7,8 @@ brute-force decidability and Born statistics agree cell by cell: decidable
 propositions give deterministic outcomes, undecidable ones give exactly
 uniform statistics.
 
-Import from the submodules: modmath, logic, qlinalg, mub, devices,
-experiment and cli.
+Import from the submodules: modmath, logic, mub, devices, experiment and
+cli.
 """
 
 __version__ = "0.1.0"

@@ -15,6 +15,7 @@ ran but its checks did not pass).
 from __future__ import annotations
 
 import argparse
+import io
 import itertools
 import json
 import math
@@ -554,11 +555,26 @@ def main(argv=None) -> int:
             print(f"error: {exc}")
         return 1
 
-    if args.format == "machine":
-        print(text)
-    else:
-        sys.stdout.write(text)
+    _write(text + "\n" if args.format == "machine" else text)
     return 0 if failure is None else 2
+
+
+def _write(text: str) -> None:
+    """Write text to stdout in full, or raise BrokenPipeError if its reader
+    closes first.
+
+    An unbuffered stdout (python -u, PYTHONUNBUFFERED) makes one os.write
+    per call and drops what a partial write leaves, so a reader that closes
+    early goes unseen; there the bytes are written until none is left.
+    """
+    raw = getattr(sys.stdout, "buffer", None)
+    if not isinstance(raw, io.RawIOBase):
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    while data:
+        data = data[raw.write(data):]
 
 
 def entrypoint(run=main) -> None:

@@ -5,10 +5,11 @@ Born distribution is its float64 probability array over outcome labels.
 
 The paper encodes an axiom {a, b} by starting from |0>_a and applying
 U = X^f(0) Z^f(1) for a function f consistent with the axiom; any member of
-the axiom's group yields the same state up to a global phase
-(encode_unitary, prepare_with). That state is the one of basis a that a
-measurement at m = a reads as n = b, so prepare() returns it directly: the
-column of B_a that outcome label b names.
+the axiom's group yields the same state up to a global phase. That state
+is the one of basis a that a measurement at m = a reads as n = b, so
+prepare() returns it directly: the column of B_a that outcome label b names.
+The tests keep the operator encoding (tests/reference.py) as the reference
+prepare() is pinned against.
 
 Measurement in basis m returns Born probabilities over outcome labels n.
 Outcome labels follow n(j) = -j mod d for the shift-generated bases m < d,
@@ -23,10 +24,9 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .logic import BinaryFunction, Proposition
+from .logic import Proposition
 from .modmath import Dimension
 from .mub import basis_matrix, basis_state
-from .qlinalg import pauli_x, pauli_z
 
 # Per-trial stream derivation: PCG64 seeded with seed XOR (trial * mix),
 # all mod 2**64. Multiplication by an odd constant is a bijection on 64-bit
@@ -34,12 +34,6 @@ from .qlinalg import pauli_x, pauli_z
 TRIAL_SEED_MIX = 0x9E3779B97F4A7C15
 SEED_BOUND = 1 << 64
 _MASK64 = SEED_BOUND - 1
-
-
-def encode_unitary(f: BinaryFunction) -> np.ndarray:
-    """U = X^f(0) Z^f(1); the Z power acts first on the ket."""
-    x, z = pauli_x(f.dim), pauli_z(f.dim)
-    return np.linalg.matrix_power(x, f.f0) @ np.linalg.matrix_power(z, f.f1)
 
 
 def _column(n, m: int, d: int):
@@ -50,18 +44,6 @@ def _column(n, m: int, d: int):
 def prepare(axiom: Proposition) -> np.ndarray:
     """Encode the axiom: |-b mod d>_a for a < d, and |b> for a = d."""
     return basis_state(axiom.dim, axiom.a, _column(axiom.b, axiom.a, axiom.dim.d))
-
-
-def prepare_with(f: BinaryFunction, a: int) -> np.ndarray:
-    """Encode via an arbitrary function: U_f applied to |0>_a.
-
-    Every f belongs to exactly one group of partition a, so the result
-    equals prepare() of that group's proposition up to a global phase.
-    """
-    dim = f.dim
-    if not 0 <= a <= dim.d:
-        raise ValueError(f"basis index {a} out of range [0, {dim.d}]")
-    return encode_unitary(f) @ basis_state(dim, a, 0)
 
 
 def measurement(dim: Dimension, m: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -88,37 +70,17 @@ def born(state: np.ndarray, m: int) -> np.ndarray:
     return measurement(Dimension(len(state)), m)(state)
 
 
-def sample(probabilities: np.ndarray, rng: np.random.Generator) -> int:
-    """One outcome by inverse-CDF over cumulative probabilities in label order.
-
-    Ties at cell boundaries resolve to the smaller label; zero-probability
-    cells are never selected.
-    """
-    u = rng.random()
-    cumulative = 0.0
-    for n, p in enumerate(probabilities):
-        cumulative += p
-        if u < cumulative:
-            return n
-    # u landed past the last boundary through rounding; return the largest
-    # label that actually carries probability
-    supported = np.flatnonzero(probabilities > 0.0)
-    return int(supported[-1])
-
-
 def outcomes(probabilities: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The outcome sample() returns for each uniform in u, in one pass."""
+    """The inverse-CDF outcome of each uniform in u, in one pass.
+
+    That is the first label whose cumulative probability exceeds u, so ties
+    at cell boundaries resolve to the smaller label and zero-probability
+    cells are never selected; a u past the last sum through rounding gets
+    the largest label that carries probability.
+    """
     labels = np.searchsorted(np.cumsum(probabilities), u, side="right")
     labels[labels == len(probabilities)] = np.flatnonzero(probabilities > 0.0)[-1]
     return labels
-
-
-def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Independent, reproducible stream for one trial of a seeded experiment."""
-    if trial < 0:
-        raise ValueError("trial index must be non-negative")
-    derived = (seed ^ ((trial * TRIAL_SEED_MIX) & _MASK64)) & _MASK64
-    return np.random.default_rng(derived)
 
 
 # trial_uniforms replays default_rng(s).random() on arrays of derived seeds:
@@ -216,7 +178,8 @@ def _first_uniform(seeds: np.ndarray) -> np.ndarray:
 
 
 def trial_uniforms(seed: int, trials: int) -> np.ndarray:
-    """trial_rng(seed, t).random() for t = 0..trials-1, bit for bit, in one pass."""
+    """default_rng(seed XOR (t * TRIAL_SEED_MIX mod 2**64)).random() for
+    t = 0..trials-1, bit for bit, in one pass."""
     if not 0 <= seed < SEED_BOUND:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     out = np.empty(trials)

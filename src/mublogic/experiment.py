@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .devices import SEED_BOUND, _column, born, measurement, outcomes, prepare, trial_uniforms
-from .logic import Proposition, label_count_matrix, label_counts
+from .logic import Proposition, label_count_matrix
 from .modmath import Dimension
 from .mub import basis_matrix
 
@@ -98,8 +98,8 @@ def run(config: ExperimentConfig) -> Tally:
     Each trial draws from its own derived stream, so the tally is
     independent of execution order and reproducible from (seed, trials).
     All uniforms come from one vectorized pass (trial_uniforms) and map to
-    outcomes by the rule of sample(), so the counts equal the scalar loop
-    over sample(probabilities, trial_rng(seed, t)) exactly.
+    outcomes by inverse CDF (outcomes), so the counts equal those of a scalar
+    loop that seeds one generator per trial and draws once from it, exactly.
     """
     probabilities = born(prepare(config.axiom), config.m)
     labels = outcomes(probabilities, trial_uniforms(config.seed, config.trials))
@@ -152,26 +152,6 @@ class Behavior:
         return cls("mixed")
 
 
-def observed_behavior(probabilities, d: int, tol: float) -> Behavior:
-    """Classify an exact Born distribution at tolerance tol."""
-    for n, p in enumerate(probabilities):
-        if p > 1.0 - tol:
-            return Behavior.deterministic(n)
-    if all(abs(p - 1.0 / d) <= tol for p in probabilities):
-        return Behavior.uniform()
-    return Behavior.mixed()
-
-
-def predicted_behavior(axiom: Proposition, m: int) -> Behavior:
-    """Forecast the measurement statistics from decidability alone.
-
-    Outcome n is provable when all d axiom-consistent functions satisfy
-    {m, n}, refutable when none does, and undecidable otherwise.
-    """
-    d, counts = axiom.dim.d, label_counts(axiom, m)
-    return behavior_of(int(_behavior_codes(counts == d, counts != 0)), d)
-
-
 def behavior_of(code: int, d: int) -> Behavior:
     """The behavior that a code of _behavior_codes stands for."""
     return Behavior.deterministic(code) if code < d else Behavior(("uniform", "mixed")[code - d])
@@ -212,11 +192,6 @@ class CrossReport:
         )
 
     @property
-    def cells(self) -> tuple[CrossCell, ...]:
-        """Every cell in the order a, b, m, built on demand."""
-        return tuple(map(self.cell, range(self.agree.size)))
-
-    @property
     def disagreements(self) -> int:
         return int(np.count_nonzero(~self.agree))
 
@@ -236,8 +211,8 @@ def cross_validate(dim: Dimension, tol: float = 1e-9) -> CrossReport:
     forecast, the m = a cell is deterministic at n = b, and every m != a
     cell is uniform. The cell also records how far the Born probabilities
     drift from group-counting multiplicities divided by d; for this function
-    family the two are equal. All cells are classified in one array pass,
-    as observed_behavior and predicted_behavior would.
+    family the two are equal. All cells are classified in one array pass;
+    the tests compare it with each cell classified on its own.
     """
     d = dim.d
     if d > 31:

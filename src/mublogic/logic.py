@@ -6,9 +6,10 @@ either a linear relation "f(1) = a f(0) + b" (partitions a = 0..d-1) or a
 value pin "f(0) = b" (partition a = d). Whether one proposition is provable
 from another is settled here by exhaustive enumeration, which also serves
 as the independent oracle for the quantum layer. Values in Z_d are plain
-ints, type- and range-checked once where a Proposition or BinaryFunction is
-built. The enumeration runs on the int arrays of group_arrays();
-BinaryFunction objects are built only where a public function returns them.
+ints, type- and range-checked once where a Proposition is built. The
+enumeration runs over the members of a group, as the int arrays of
+group_arrays(); the tests keep the enumeration over all d**2 functions, one
+object per function (tests/reference.py), as its oracle.
 """
 
 from __future__ import annotations
@@ -33,27 +34,6 @@ def _check_residue(value, dim: Dimension) -> None:
         raise TypeError(f"residue value must be an int, got {value!r}")
     if not 0 <= value < dim.d:
         raise ValueError(f"residue {value} out of range for d={dim.d}")
-
-
-@dataclass(frozen=True)
-class BinaryFunction:
-    """A function {0,1} -> Z_d stored as the value pair (f(0), f(1))."""
-
-    f0: int
-    f1: int
-    dim: Dimension
-
-    def __post_init__(self) -> None:
-        _check_residue(self.f0, self.dim)
-        _check_residue(self.f1, self.dim)
-
-    @classmethod
-    def from_values(cls, f0: int, f1: int, dim: Dimension) -> "BinaryFunction":
-        return cls(f0, f1, dim)
-
-    @property
-    def pair(self) -> tuple[int, int]:
-        return (self.f0, self.f1)
 
 
 @dataclass(frozen=True)
@@ -82,25 +62,6 @@ class Proposition:
         return cls(a, b, dim)
 
 
-def all_functions(dim: Dimension) -> tuple[BinaryFunction, ...]:
-    """All d**2 functions, ordered by (f(0), f(1))."""
-    return tuple(
-        BinaryFunction.from_values(f0, f1, dim)
-        for f0 in range(dim.d)
-        for f1 in range(dim.d)
-    )
-
-
-def holds(f: BinaryFunction, p: Proposition) -> bool:
-    """Does f satisfy proposition p?"""
-    if f.dim != p.dim:
-        raise DimensionMismatch("function and proposition moduli differ")
-    d = p.dim.d
-    if p.a < d:
-        return f.f1 == (p.a * f.f0 + p.b) % d
-    return f.f0 == p.b
-
-
 def group_arrays(a: int, b: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """f(0) and f(1) of the d functions in group {a, b}, in construction order.
 
@@ -110,14 +71,6 @@ def group_arrays(a: int, b: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     if a < d:
         return k, (a * k + b) % d
     return np.full(d, b), k
-
-
-def group(p: Proposition) -> tuple[BinaryFunction, ...]:
-    """The d functions satisfying p, in construction order."""
-    f0, f1 = group_arrays(p.a, p.b, p.dim.d)
-    return tuple(
-        BinaryFunction.from_values(x, y, p.dim) for x, y in zip(f0.tolist(), f1.tolist())
-    )
 
 
 def partition_array(dim: Dimension) -> np.ndarray:
@@ -132,22 +85,6 @@ def partition_array(dim: Dimension) -> np.ndarray:
     table[d, :, :, 0] = k[:, None]
     table[d, :, :, 1] = k
     return table
-
-
-def partition_table(dim: Dimension) -> tuple[tuple[tuple[BinaryFunction, ...], ...], ...]:
-    """(d+1) x d table of groups; rows indexed by a, columns by b."""
-    return tuple(
-        tuple(tuple(BinaryFunction.from_values(x, y, dim) for x, y in cell) for cell in row)
-        for row in partition_array(dim).tolist()
-    )
-
-
-def intersect(p: Proposition, q: Proposition) -> tuple[BinaryFunction, ...]:
-    """Functions satisfying both propositions, ordered by (f(0), f(1))."""
-    if p.dim != q.dim:
-        raise DimensionMismatch("proposition moduli differ")
-    common = set(group(p)) & set(group(q))
-    return tuple(sorted(common, key=lambda f: f.pair))
 
 
 def label_counts(axiom: Proposition, m: int) -> np.ndarray:
@@ -185,12 +122,3 @@ def decide(axiom: Proposition, theorem: Proposition) -> Decidability:
     if satisfied == 0:
         return Decidability.PROVABLY_FALSE
     return Decidability.UNDECIDABLE
-
-
-def outcome_multiplicities(axiom: Proposition, m: int) -> dict[int, int]:
-    """Count, per outcome n, the axiom-consistent functions satisfying {m, n}.
-
-    Counts always sum to d: each function lies in exactly one group of
-    partition m.
-    """
-    return dict(enumerate(label_counts(axiom, m).tolist()))

@@ -1,7 +1,7 @@
 """The prime dimension d shared by the logic and the quantum layer.
 
-Values in Z_d are plain ints, range-checked where they enter a Proposition
-or BinaryFunction. Logic objects bound to different dimensions raise
+Values in Z_d are plain ints, range-checked where they enter a Proposition.
+Logic objects bound to different dimensions raise
 DimensionMismatch when combined; the quantum layer's arrays carry d as
 their length, so a mismatch there fails numpy's own shape checks.
 """

@@ -10,11 +10,12 @@ The labeling convention is fixed by the Z-shift property
 Z|j>_a = |j-1 mod d>_a (exact, no phase), which the encoding layer relies
 on. Bases, states and operators are plain complex128 arrays.
 
-The d roots of unity are computed in one vectorized cos/sin pass, with the
-angles and the bits of qlinalg.root_of_unity. Each basis entry is gathered
-from that table scaled by 1/sqrt(d) and stored twice end to end (length 2d),
-at index base + ((-a s_k) mod d) with base = (-(k j)) mod d: both terms lie
-in [0, d), so their sum needs no reduction. basis_matrix() builds B_a, the
+The d roots of unity are computed in one vectorized cos/sin pass from
+exponents reduced mod d, which keeps phase error independent of exponent
+magnitude. Each basis entry is gathered from that table scaled by 1/sqrt(d)
+and stored twice end to end (length 2d), at index base + ((-a s_k) mod d)
+with base = (-(k j)) mod d: both terms lie in [0, d), so their sum needs no
+reduction. basis_matrix() builds B_a, the
 d x d matrix with |j>_a as column j; basis_state() its column j alone, bit
 for bit, as a contiguous vector. verify() builds one table and one base for
 all d+1 bases, and reads each basis pair once, in a half gemm.
@@ -34,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .modmath import Dimension
-from .qlinalg import pauli_x, pauli_z
 
 
 @dataclass(frozen=True)
@@ -83,8 +83,9 @@ def _check_index(dim: Dimension, a: int) -> None:
 
 
 def _roots(dim: Dimension) -> np.ndarray:
-    """eta^e for e = 0..d-1, bit for bit [root_of_unity(dim, e) for e in range(d)]:
-    the same float angles, through np.cos and np.sin instead of math's."""
+    """eta^e for e = 0..d-1 from the float angles 2 pi e / d, through np.cos
+    and np.sin: bit for bit what math.cos and math.sin give at those angles,
+    as the tests check root by root (tests/reference.py)."""
     d = dim.d
     angles = 2.0 * math.pi * np.arange(d) / d
     roots = np.empty(d, dtype=np.complex128)
@@ -177,16 +178,3 @@ def verify(dim: Dimension, tol: float = 1e-10) -> MubReport:
     eigen, shift = math.sqrt(eigen), math.sqrt(shift)
     passed = max(ortho, unbias, eigen, shift) < tol
     return MubReport(ortho, unbias, eigen, shift, tol, passed)
-
-
-def basis_operator(dim: Dimension, a: int) -> np.ndarray:
-    """The operator whose eigenbasis is basis a: X Z^a for a < d, Z for a = d.
-
-    The tests' dense reference for the eigenvector check in verify().
-    """
-    d = dim.d
-    if not 0 <= a <= d:
-        raise ValueError(f"basis index {a} out of range [0, {d}]")
-    if a == d:
-        return pauli_z(dim)
-    return pauli_x(dim) @ np.linalg.matrix_power(pauli_z(dim), a)

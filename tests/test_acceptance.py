@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from mublogic.cli import main
-from mublogic.devices import born, encode_unitary, prepare, prepare_with
+from mublogic.devices import born, prepare
 from mublogic.experiment import (
     CHI2_CRITICAL_001,
     ExperimentConfig,
@@ -22,18 +22,21 @@ from mublogic.experiment import (
     cross_validate,
     run,
 )
-from mublogic.logic import (
-    BinaryFunction,
-    Decidability,
-    Proposition,
-    decide,
-    group,
-    intersect,
-)
+from mublogic.logic import Decidability, Proposition, decide
 from mublogic.modmath import Dimension
 from mublogic.mub import verify
-from mublogic.qlinalg import pauli_x, pauli_z, root_of_unity
 from phase import phase_distance
+from reference import (
+    BinaryFunction,
+    cells,
+    encode_unitary,
+    group,
+    intersect,
+    pauli_x,
+    pauli_z,
+    prepare_with,
+    root_of_unity,
+)
 
 GOLDEN_TABLE_D3 = Path(__file__).parent / "golden" / "table_d3.txt"
 
@@ -126,7 +129,7 @@ def test_criterion_6_logic_quantum_equivalence():
     worst = 0.0
     for d in (2, 3, 5, 7):
         rep = cross_validate(Dimension(d))
-        assert len(rep.cells) == (d + 1) * d * (d + 1)
+        assert len(cells(rep)) == (d + 1) * d * (d + 1)
         total_disagreements += rep.disagreements
         worst = max(worst, rep.max_born_vs_counting_deviation)
     ok = total_disagreements == 0 and worst < 1e-10

@@ -17,26 +17,26 @@ import pytest
 
 from mublogic import experiment, logic
 from mublogic.devices import born, prepare
-from mublogic.experiment import (
-    Behavior,
-    CrossCell,
-    cross_validate,
-    observed_behavior,
-    predicted_behavior,
-)
+from mublogic.experiment import Behavior, CrossCell, cross_validate
 from mublogic.logic import (
     Decidability,
     Proposition,
     decide,
     group_arrays,
-    outcome_multiplicities,
     partition_array,
-    partition_table,
 )
 from mublogic.modmath import Dimension, is_prime
 from mublogic.mub import basis_matrix, basis_state
-from mublogic.qlinalg import root_of_unity
-from test_logic import enumerate_group
+import reference
+from reference import (
+    cells,
+    enumerate_group,
+    observed_behavior,
+    outcome_multiplicities,
+    partition_table,
+    predicted_behavior,
+    root_of_unity,
+)
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -168,7 +168,7 @@ def test_cross_validate_flags_a_wrong_forecast_like_the_reference(d, monkeypatch
         rows[0] = np.roll(rows[0], 1)
         return rows
 
-    for module in (logic, experiment):
+    for module in (logic, reference):
         monkeypatch.setattr(
             module, "label_counts", lambda axiom, m: np.roll(counts(axiom, m), 1 if m == 0 else 0)
         )
@@ -180,7 +180,7 @@ def test_cross_validate_flags_a_wrong_forecast_like_the_reference(d, monkeypatch
 
 def assert_cells_equal_per_cell_reference(dim, tol):
     d = dim.d
-    cells = iter(cross_validate(dim, tol).cells)
+    report_cells = iter(cells(cross_validate(dim, tol)))
     for a in range(d + 1):
         for b in range(d):
             axiom = Proposition.of(a, b, dim)
@@ -195,7 +195,7 @@ def assert_cells_equal_per_cell_reference(dim, tol):
                 )
                 expected = Behavior.deterministic(b) if m == a else Behavior.uniform()
                 agree = observed == predicted == expected
-                cell = next(cells)
+                cell = next(report_cells)
                 assert cell == CrossCell(axiom, m, predicted, observed, agree, deviation)
                 assert cell.born_vs_counting_deviation.hex() == float(deviation).hex()
-    assert next(cells, None) is None
+    assert next(report_cells, None) is None

@@ -12,21 +12,27 @@ from hypothesis import strategies as st
 from mublogic.devices import (
     TRIAL_BLOCK,
     born,
-    encode_unitary,
     measurement,
     outcomes,
     prepare,
-    prepare_with,
-    sample,
-    trial_rng,
     trial_uniforms,
 )
 from mublogic.experiment import ExperimentConfig, run
-from mublogic.logic import BinaryFunction, Proposition, group, outcome_multiplicities
+from mublogic.logic import Proposition
 from mublogic.modmath import Dimension
 from mublogic.mub import basis_matrix, basis_state
-from mublogic.qlinalg import pauli_x, pauli_z
 from phase import phase_distance
+from reference import (
+    BinaryFunction,
+    encode_unitary,
+    group,
+    outcome_multiplicities,
+    pauli_x,
+    pauli_z,
+    prepare_with,
+    sample,
+    trial_rng,
+)
 
 PRIMES = [2, 3, 5]
 

@@ -13,12 +13,11 @@ from mublogic.experiment import (
     ValidityError,
     chi_square_uniform,
     cross_validate,
-    observed_behavior,
-    predicted_behavior,
     run,
 )
 from mublogic.logic import Proposition
 from mublogic.modmath import Dimension
+from reference import cells, observed_behavior, predicted_behavior
 
 D3 = Dimension(3)
 
@@ -149,7 +148,7 @@ def test_predicted_behavior_rejects_measurement_outside_range():
 @pytest.mark.parametrize("d", [2, 3])
 def test_cross_validate_all_cells_agree(d):
     report = cross_validate(Dimension(d))
-    assert len(report.cells) == (d + 1) * d * (d + 1)
+    assert len(cells(report)) == (d + 1) * d * (d + 1)
     assert report.all_agree
     assert report.disagreements == 0
     assert report.max_born_vs_counting_deviation < 1e-10
@@ -157,7 +156,7 @@ def test_cross_validate_all_cells_agree(d):
 
 def test_cross_validate_cell_detail():
     report = cross_validate(D3)
-    by_key = {(c.axiom.a, c.axiom.b, c.m): c for c in report.cells}
+    by_key = {(c.axiom.a, c.axiom.b, c.m): c for c in cells(report)}
     cell = by_key[(1, 1, 1)]
     assert cell.predicted == Behavior.deterministic(1)
     assert cell.observed == Behavior.deterministic(1)
@@ -179,7 +178,7 @@ def test_cross_validate_flags_routes_that_agree_on_the_wrong_outcome(monkeypatch
         lambda axiom: matrix(Proposition.of(axiom.a, (axiom.b + 1) % d, axiom.dim)),
     )
     report = cross_validate(Dimension(d))
-    wrong = [cell for cell in report.cells if not cell.agree]
+    wrong = [cell for cell in cells(report) if not cell.agree]
     assert len(wrong) == report.disagreements == (d + 1) * d
     assert all(cell.m == cell.axiom.a and cell.predicted == cell.observed for cell in wrong)
 

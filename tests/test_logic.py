@@ -9,21 +9,18 @@ import itertools
 import numpy as np
 import pytest
 
-from mublogic.logic import (
+from mublogic.logic import Decidability, Proposition, decide, label_count_matrix, label_counts
+from mublogic.modmath import Dimension, DimensionMismatch, is_prime
+from reference import (
     BinaryFunction,
-    Decidability,
-    Proposition,
     all_functions,
-    decide,
+    enumerate_group,
     group,
     holds,
     intersect,
-    label_count_matrix,
-    label_counts,
     outcome_multiplicities,
     partition_table,
 )
-from mublogic.modmath import Dimension, DimensionMismatch, is_prime
 
 PRIMES = [2, 3, 5, 7]
 
@@ -36,21 +33,6 @@ TABLE_D3 = [
     [[(0, 0), (1, 2), (2, 1)], [(0, 1), (1, 0), (2, 2)], [(0, 2), (1, 1), (2, 0)]],
     [[(0, 0), (0, 1), (0, 2)], [(1, 0), (1, 1), (1, 2)], [(2, 0), (2, 1), (2, 2)]],
 ]
-
-
-def enumerate_group(p: Proposition) -> set[tuple[int, int]]:
-    """Oracle: filter the full enumeration by the defining relation."""
-    d = p.dim.d
-    members = set()
-    for f0 in range(d):
-        for f1 in range(d):
-            if p.a < d:
-                ok = f1 == (p.a * f0 + p.b) % d
-            else:
-                ok = f0 == p.b
-            if ok:
-                members.add((f0, f1))
-    return members
 
 
 def pairs(functions) -> list[tuple[int, int]]:

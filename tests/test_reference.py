@@ -1,4 +1,4 @@
-"""Roots of unity and the generalized Pauli pair, as plain numpy arrays."""
+"""The reference roots of unity and generalized Pauli pair, as plain numpy arrays."""
 
 import math
 
@@ -8,8 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mublogic.modmath import Dimension
-from mublogic.qlinalg import pauli_x, pauli_z, root_of_unity
 from phase import phase_distance
+from reference import pauli_x, pauli_z, root_of_unity
 
 PRIMES = [2, 3, 5, 7, 11]
 
