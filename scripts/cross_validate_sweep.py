@@ -42,7 +42,7 @@ def main() -> int:
             f"{report.max_born_vs_counting_deviation:>24.3e}"
         )
         for i in np.flatnonzero(~report.agree):
-            print(f"     {disagreement_line(report.cell(i))}")
+            print(f"     {disagreement_line(report, i)}")
     print("all cells agree" if failures == 0 else f"{failures} disagreements")
     return 0 if failures == 0 else 1
 

@@ -9,13 +9,7 @@ rejections at roughly the alpha = 0.001 rate across seeds.
 import argparse
 
 from mublogic.cli import check_budget, entrypoint, parse_seed
-from mublogic.experiment import (
-    ALPHA,
-    ExperimentConfig,
-    UniformityVerdict,
-    chi_square_uniform,
-    run,
-)
+from mublogic.experiment import ALPHA, chi_square_uniform, run
 from mublogic.logic import Proposition
 from mublogic.modmath import Dimension
 
@@ -34,18 +28,18 @@ def main() -> int:
         results = []
         for a in range(d + 1):
             for b in range(d):
-                axiom = Proposition.of(a, b, dim)
+                axiom = Proposition(a, b, dim)
                 for m in range(d + 1):
-                    config = ExperimentConfig(dim, axiom, m, args.trials, args.seed)
-                    results.append((a, b, m, chi_square_uniform(run(config))))
+                    counts = run(axiom, m, args.trials, args.seed)
+                    results.append((a, b, m, *chi_square_uniform(counts)))
     except ValueError as exc:  # includes ValidityError: no chi-square verdict
         parser.error(str(exc))
 
     surprises = 0
     print(f"d={d}, trials={args.trials}, seed={args.seed}, alpha={ALPHA}")
     print(f"{'axiom':>7}  {'m':>2}  {'statistic':>12}  verdict")
-    for a, b, m, result in results:
-        uniform = result.verdict is UniformityVerdict.CONSISTENT_WITH_UNIFORM
+    for a, b, m, statistic, _, _, verdict in results:
+        uniform = verdict == "ConsistentWithUniform"
         expected_uniform = m != a
         marker = ""
         if uniform != expected_uniform:
@@ -53,8 +47,8 @@ def main() -> int:
             marker = "  <- unexpected"
         print(
             f"{{{a},{b}}}".rjust(7)
-            + f"  {m:>2}  {result.chi_square_statistic:>12.4g}  "
-            + result.verdict.value
+            + f"  {m:>2}  {statistic:>12.4g}  "
+            + verdict
             + marker
         )
     print(f"{surprises} unexpected verdicts out of {len(results)} cells")

@@ -24,22 +24,10 @@ import sys
 
 import numpy as np
 
-from .experiment import (
-    ALPHA,
-    Behavior,
-    CrossCell,
-    CrossReport,
-    ExperimentConfig,
-    UniformityResult,
-    ValidityError,
-    behavior_of,
-    chi_square_uniform,
-    cross_validate,
-    run,
-)
+from .experiment import ALPHA, CrossReport, ValidityError, chi_square_uniform, cross_validate, run
 from .devices import SEED_BOUND, born, prepare
 from .logic import Proposition, decide, partition_array
-from .modmath import Dimension, DimensionMismatch, NotPrimeError
+from .modmath import Dimension
 from .mub import MubReport, verify
 
 SCHEMA_VERSION = "1.0.0"
@@ -47,11 +35,9 @@ MAX_TEXT_TABLE_D = 7
 # size budgets per command, checked before any work, so that a huge --d or
 # --trials fails fast with one error envelope. `table` is bound by its
 # envelope (2 d**2 (d+1) ints, about 10 MB at d = 101), `verify-mub` by a 5 s
-# run (when set, d = 311: 4.8 s end to end, 1 BLAS thread, 2-vCPU VM; 313: up
-# to 5.1 s; d = 311 now takes 1.6-1.8 s, its d+1 bases gathered from one
-# doubled root table and one array of base exponents),
-# `cross-validate` by time, `probs` and `run` by their d x d basis matrices,
-# `decide` by its primality test and group arrays, and --trials by time
+# machine run at the cap, `cross-validate` by time, `probs` and `run` by
+# their d x d basis matrices, `decide` by its primality test and group
+# arrays, and --trials by time
 MAX_D = {
     "table": 101,
     "verify-mub": 311,
@@ -108,17 +94,19 @@ def floats_json(values: np.ndarray) -> Fragment:
     return Fragment("[" + ", ".join(["%.17g"] * len(values)) % tuple(values.tolist()) + "]")
 
 
-def _behavior_doc(behavior: Behavior) -> dict:
-    return {"kind": behavior.kind, "outcome": behavior.outcome}
+def _behavior_kind(code: int, d: int) -> str:
+    """What a behavior code of a CrossReport stands for: a point mass at
+    outcome code < d ("deterministic"), "uniform" at d, "mixed" at d + 1."""
+    return "deterministic" if code < d else ("uniform", "mixed")[code - d]
 
 
-def _uniformity_doc(result: UniformityResult) -> dict:
+def _uniformity_doc(statistic: float, df: int, critical: float, verdict: str) -> dict:
     return {
-        "chi_square_statistic": float(result.chi_square_statistic),
-        "degrees_of_freedom": int(result.degrees_of_freedom),
-        "critical_value": float(result.critical_value),
+        "chi_square_statistic": statistic,
+        "degrees_of_freedom": df,
+        "critical_value": critical,
         "alpha": ALPHA,
-        "verdict": result.verdict.value,
+        "verdict": verdict,
     }
 
 
@@ -134,19 +122,23 @@ def _mub_report_doc(d: int, report: MubReport) -> dict:
     }
 
 
-def disagreement_line(cell: CrossCell) -> str:
-    """One-line description of a cross-validation cell that does not agree."""
-    return (
-        f"DISAGREE axiom {{{cell.axiom.a},{cell.axiom.b}}} m={cell.m}: "
-        f"predicted {cell.predicted.kind}, observed {cell.observed.kind}"
-    )
+def disagreement_line(report: CrossReport, index: int) -> str:
+    """One-line description of a cell that does not agree, at flat index
+    `index` of the report's [a, b, m] arrays."""
+    d = report.dim.d
+    ab, m = divmod(int(index), d + 1)
+    a, b = divmod(ab, d)
+    predicted, observed = (_behavior_kind(int(codes.flat[index]), d)
+                           for codes in (report.predicted, report.observed))
+    return f"DISAGREE axiom {{{a},{b}}} m={m}: predicted {predicted}, observed {observed}"
 
 
 def _cross_report_doc(report: CrossReport) -> dict:
     """The cross-validate payload, its cells filled into one template in a, b, m
     order with the .17g floats of to_json, which rejects a non-finite maximum."""
     d = report.dim.d
-    docs = [to_json(_behavior_doc(behavior_of(code, d))) for code in range(d + 2)]
+    docs = [to_json({"kind": _behavior_kind(code, d), "outcome": code if code < d else None})
+            for code in range(d + 2)]
     index = itertools.product(range(d + 1), range(d), range(d + 1))
     columns = (report.predicted, report.observed, report.agree, report.deviation)
     cells = ", ".join(
@@ -418,8 +410,8 @@ def _cmd_verify_mub(args):
 
 def _cmd_decide(args):
     dim = Dimension(args.d)
-    axiom = Proposition.of(args.axiom[0], args.axiom[1], dim)
-    theorem = Proposition.of(args.theorem[0], args.theorem[1], dim)
+    axiom = Proposition(args.axiom[0], args.axiom[1], dim)
+    theorem = Proposition(args.theorem[0], args.theorem[1], dim)
     verdict = decide(axiom, theorem)
     payload = {
         "d": dim.d,
@@ -436,7 +428,7 @@ def _cmd_decide(args):
 
 def _cmd_probs(args):
     dim = Dimension(args.d)
-    axiom = Proposition.of(args.axiom[0], args.axiom[1], dim)
+    axiom = Proposition(args.axiom[0], args.axiom[1], dim)
     probabilities = born(prepare(axiom), args.measure)
     if args.format == "machine":
         payload = {
@@ -456,13 +448,12 @@ def _cmd_probs(args):
 
 def _cmd_run(args):
     dim = Dimension(args.d)
-    axiom = Proposition.of(args.axiom[0], args.axiom[1], dim)
-    config = ExperimentConfig(dim, axiom, args.measure, args.trials, args.seed)
-    tally = run(config)
-    # without a valid chi-square test the tally is still reported, just
+    axiom = Proposition(args.axiom[0], args.axiom[1], dim)
+    counts = run(axiom, args.measure, args.trials, args.seed)
+    # without a valid chi-square test the counts are still reported, just
     # without a verdict
     try:
-        uniformity, skipped = chi_square_uniform(tally), None
+        uniformity, skipped = chi_square_uniform(counts), None
     except ValidityError as exc:
         uniformity, skipped = None, exc
     if args.format == "machine":
@@ -472,22 +463,21 @@ def _cmd_run(args):
             "measure": args.measure,
             "trials": args.trials,
             "seed": args.seed,
-            "counts": list(tally.counts),
-            "uniformity": None if uniformity is None else _uniformity_doc(uniformity),
+            "counts": counts.tolist(),
+            "uniformity": None if uniformity is None else _uniformity_doc(*uniformity),
         }
         return payload, None, ""
     lines = [
         f"counts for axiom {{{axiom.a},{axiom.b}}}, m={args.measure}, "
         f"d={dim.d}, trials={args.trials}, seed={args.seed}"
     ]
-    lines += [f"  n={n}: {c}" for n, c in enumerate(tally.counts)]
-    lines.append(
-        f"chi-square skipped: {skipped}" if uniformity is None else
-        f"chi-square statistic {uniformity.chi_square_statistic:.6g} "
-        f"(df {uniformity.degrees_of_freedom}, critical "
-        f"{uniformity.critical_value:g} at alpha {ALPHA}): "
-        f"{uniformity.verdict.value}"
-    )
+    lines += [f"  n={n}: {c}" for n, c in enumerate(counts.tolist())]
+    if uniformity is None:
+        lines.append(f"chi-square skipped: {skipped}")
+    else:
+        statistic, df, critical, verdict = uniformity
+        lines.append(f"chi-square statistic {statistic:.6g} (df {df}, critical "
+                     f"{critical:g} at alpha {ALPHA}): {verdict}")
     return None, None, "\n".join(lines) + "\n"
 
 
@@ -505,7 +495,7 @@ def _cmd_cross_validate(args):
         f"  disagreements           : {report.disagreements}",
         f"  max |born - counting/d| : {report.max_born_vs_counting_deviation:.3e}",
     ]
-    lines += [f"  {disagreement_line(report.cell(i))}" for i in np.flatnonzero(~report.agree)]
+    lines += [f"  {disagreement_line(report, i)}" for i in np.flatnonzero(~report.agree)]
     lines.append("PASS" if report.all_agree else "FAIL")
     return None, failure, "\n".join(lines) + "\n"
 
@@ -547,7 +537,7 @@ def main(argv=None) -> int:
         if args.format == "machine":  # rendered in the try: a non-finite float is an input error
             status = "ok" if failure is None else "error"
             text = to_json(_envelope(args.command, parameters, status, payload, failure))
-    except (NotPrimeError, DimensionMismatch, ValidityError, ValueError) as exc:
+    except ValueError as exc:
         envelope = _envelope(args.command, parameters, "error", None, str(exc))
         if args.format == "machine":
             print(to_json(envelope))

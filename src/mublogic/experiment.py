@@ -16,11 +16,10 @@ about where the randomness of a physical measurement comes from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .devices import SEED_BOUND, _column, born, measurement, outcomes, prepare, trial_uniforms
+from .devices import _column, born, measurement, outcomes, prepare, trial_uniforms
 from .logic import Proposition, label_count_matrix
 from .modmath import Dimension
 from .mub import basis_matrix
@@ -44,134 +43,55 @@ class ValidityError(ValueError):
     """A statistical test's validity preconditions are not met."""
 
 
-class UniformityVerdict(Enum):
-    CONSISTENT_WITH_UNIFORM = "ConsistentWithUniform"
-    REJECT_UNIFORM = "RejectUniform"
+def run(axiom: Proposition, m: int, trials: int, seed: int) -> np.ndarray:
+    """Outcome counts of `trials` seeded trials measuring the encoded axiom
+    in basis m, one per outcome label.
 
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    dim: Dimension
-    axiom: Proposition
-    m: int
-    trials: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.axiom.dim != self.dim:
-            raise ValueError("axiom dimension does not match config dimension")
-        if not 0 <= self.m <= self.dim.d:
-            raise ValueError(f"measurement index {self.m} out of range")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if not 0 <= self.seed < SEED_BOUND:
-            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
-
-
-@dataclass(frozen=True)
-class Tally:
-    """Outcome counts of a completed experiment, with its config echoed."""
-
-    counts: tuple[int, ...]
-    config: ExperimentConfig
-
-    def __post_init__(self) -> None:
-        if len(self.counts) != self.config.dim.d:
-            raise ValueError("one count per outcome label required")
-        if any(c < 0 for c in self.counts):
-            raise ValueError("counts must be non-negative")
-        if sum(self.counts) != self.config.trials:
-            raise ValueError("counts must sum to the trial count")
-
-
-@dataclass(frozen=True)
-class UniformityResult:
-    chi_square_statistic: float
-    degrees_of_freedom: int
-    critical_value: float
-    verdict: UniformityVerdict
-
-
-def run(config: ExperimentConfig) -> Tally:
-    """Prepare once, compute Born probabilities once, then sample every trial.
-
-    Each trial draws from its own derived stream, so the tally is
+    Each trial draws from its own derived stream, so the counts are
     independent of execution order and reproducible from (seed, trials).
-    All uniforms come from one vectorized pass (trial_uniforms) and map to
-    outcomes by inverse CDF (outcomes), so the counts equal those of a scalar
-    loop that seeds one generator per trial and draws once from it, exactly.
+    All uniforms come from one vectorized pass (trial_uniforms, which also
+    checks the seed) and map to outcomes by inverse CDF (outcomes), so the
+    counts equal those of a scalar loop that seeds one generator per trial
+    and draws once from it, exactly.
     """
-    probabilities = born(prepare(config.axiom), config.m)
-    labels = outcomes(probabilities, trial_uniforms(config.seed, config.trials))
-    counts = np.bincount(labels, minlength=config.dim.d)
-    return Tally(tuple(int(c) for c in counts), config)
+    d = axiom.dim.d
+    if not 0 <= m <= d:
+        raise ValueError(f"measurement index {m} out of range")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    probabilities = born(prepare(axiom), m)
+    return np.bincount(outcomes(probabilities, trial_uniforms(seed, trials)), minlength=d)
 
 
-def chi_square_uniform(tally: Tally) -> UniformityResult:
-    """Goodness-of-fit test of the tally against the uniform distribution.
+def chi_square_uniform(counts: np.ndarray) -> tuple[float, int, float, str]:
+    """Goodness-of-fit test of the counts against the uniform distribution:
+    (statistic, degrees of freedom, critical value, verdict), the verdict
+    "RejectUniform" or "ConsistentWithUniform".
 
     Requires an embedded critical value for d - 1 degrees of freedom and
     trials >= 5 d (the usual expected-count floor); raises ValidityError
     otherwise instead of returning a verdict.
     """
-    d = tally.config.dim.d
-    trials = tally.config.trials
+    d = len(counts)
+    trials = int(counts.sum())
     df = d - 1
     if df not in CHI2_CRITICAL_001:
         raise ValidityError(f"no embedded chi-square critical value for df = {df}")
     if trials < 5 * d:
         raise ValidityError(f"needs at least {5 * d} trials for a verdict")
     expected = trials / d
-    statistic = sum((c - expected) ** 2 / expected for c in tally.counts)
+    # summed in order, as Python floats: numpy's pairwise sum rounds otherwise
+    statistic = sum((c - expected) ** 2 / expected for c in counts.tolist())
     critical = CHI2_CRITICAL_001[df]
-    verdict = (
-        UniformityVerdict.REJECT_UNIFORM
-        if statistic > critical
-        else UniformityVerdict.CONSISTENT_WITH_UNIFORM
-    )
-    return UniformityResult(float(statistic), df, critical, verdict)
-
-
-@dataclass(frozen=True)
-class Behavior:
-    """Either a point mass on one outcome, exact uniformity, or neither."""
-
-    kind: str  # "deterministic" | "uniform" | "mixed"
-    outcome: int | None = None
-
-    @classmethod
-    def deterministic(cls, outcome: int) -> "Behavior":
-        return cls("deterministic", outcome)
-
-    @classmethod
-    def uniform(cls) -> "Behavior":
-        return cls("uniform")
-
-    @classmethod
-    def mixed(cls) -> "Behavior":
-        return cls("mixed")
-
-
-def behavior_of(code: int, d: int) -> Behavior:
-    """The behavior that a code of _behavior_codes stands for."""
-    return Behavior.deterministic(code) if code < d else Behavior(("uniform", "mixed")[code - d])
-
-
-@dataclass(frozen=True)
-class CrossCell:
-    axiom: Proposition
-    m: int
-    predicted: Behavior
-    observed: Behavior
-    agree: bool
-    born_vs_counting_deviation: float
+    verdict = "RejectUniform" if statistic > critical else "ConsistentWithUniform"
+    return float(statistic), df, critical, verdict
 
 
 @dataclass(frozen=True, eq=False)
 class CrossReport:
     """Every cell of a cross-validation, as arrays indexed [a, b, m]: the
-    predicted and observed behavior codes (behavior_of), the verdicts and
-    each cell's max |born - counting/d|."""
+    predicted and observed behavior codes (_behavior_codes), the verdicts
+    and each cell's max |born - counting/d|."""
 
     dim: Dimension
     tol: float
@@ -179,17 +99,6 @@ class CrossReport:
     observed: np.ndarray
     agree: np.ndarray
     deviation: np.ndarray
-
-    def cell(self, index: int) -> CrossCell:
-        """The cell at flat index `index` of the [a, b, m] arrays."""
-        d = self.dim.d
-        ab, m = divmod(int(index), d + 1)
-        return CrossCell(
-            Proposition.of(*divmod(ab, d), self.dim), m,
-            behavior_of(int(self.predicted.flat[index]), d),
-            behavior_of(int(self.observed.flat[index]), d),
-            bool(self.agree.flat[index]), float(self.deviation.flat[index]),
-        )
 
     @property
     def disagreements(self) -> int:
@@ -226,7 +135,7 @@ def cross_validate(dim: Dimension, tol: float = 1e-9) -> CrossReport:
         for b in range(d):
             amplitudes = np.ascontiguousarray(states[:, _column(b, a, d)])
             probabilities[a, b] = [measure[m](amplitudes) for m in range(d + 1)]
-            counts[a, b] = label_count_matrix(Proposition.of(a, b, dim))
+            counts[a, b] = label_count_matrix(Proposition(a, b, dim))
     observed = _behavior_codes(probabilities > 1.0 - tol, np.abs(probabilities - 1.0 / d) <= tol)
     predicted = _behavior_codes(counts == d, counts != 0)
     deviation = np.max(np.abs(probabilities - counts / d), axis=-1)

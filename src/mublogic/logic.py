@@ -57,10 +57,6 @@ class Proposition:
                 f"partition index {self.a} out of range [0, {self.dim.d}]"
             )
 
-    @classmethod
-    def of(cls, a: int, b: int, dim: Dimension) -> "Proposition":
-        return cls(a, b, dim)
-
 
 def group_arrays(a: int, b: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """f(0) and f(1) of the d functions in group {a, b}, in construction order.

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mublogic.devices import _MASK64, TRIAL_SEED_MIX
-from mublogic.experiment import (
-    Behavior,
-    CrossCell,
-    CrossReport,
-    _behavior_codes,
-    behavior_of,
-)
+from mublogic.experiment import CrossReport, _behavior_codes
 from mublogic.logic import (
     Proposition,
     _check_residue,
@@ -213,26 +207,34 @@ def basis_operator(dim: Dimension, a: int) -> np.ndarray:
     return pauli_x(dim) @ np.linalg.matrix_power(pauli_z(dim), a)
 
 
-def observed_behavior(probabilities, d: int, tol: float) -> Behavior:
-    """Classify an exact Born distribution at tolerance tol."""
+def observed_behavior(probabilities, d: int, tol: float) -> int:
+    """Classify an exact Born distribution at tolerance tol: the outcome n
+    of a point mass, else d if uniform, else d + 1 (mixed)."""
     for n, p in enumerate(probabilities):
         if p > 1.0 - tol:
-            return Behavior.deterministic(n)
+            return n
     if all(abs(p - 1.0 / d) <= tol for p in probabilities):
-        return Behavior.uniform()
-    return Behavior.mixed()
+        return d
+    return d + 1
 
 
-def predicted_behavior(axiom: Proposition, m: int) -> Behavior:
-    """Forecast the measurement statistics from decidability alone.
+def predicted_behavior(axiom: Proposition, m: int) -> int:
+    """Forecast the measurement statistics from decidability alone, coded
+    as observed_behavior codes them.
 
     Outcome n is provable when all d axiom-consistent functions satisfy
     {m, n}, refutable when none does, and undecidable otherwise.
     """
     d, counts = axiom.dim.d, label_counts(axiom, m)
-    return behavior_of(int(_behavior_codes(counts == d, counts != 0)), d)
+    return int(_behavior_codes(counts == d, counts != 0))
 
 
-def cells(report: CrossReport) -> tuple[CrossCell, ...]:
-    """Every cell of the report in the order a, b, m, built on demand."""
-    return tuple(map(report.cell, range(report.agree.size)))
+def cells(report: CrossReport) -> tuple[tuple, ...]:
+    """Every cell of the report in the order a, b, m, as the plain tuple
+    (a, b, m, predicted, observed, agree, deviation) read from its arrays."""
+    d = report.dim.d
+    return tuple(
+        (a, b, m, int(report.predicted[a, b, m]), int(report.observed[a, b, m]),
+         bool(report.agree[a, b, m]), float(report.deviation[a, b, m]))
+        for a in range(d + 1) for b in range(d) for m in range(d + 1)
+    )

@@ -17,7 +17,7 @@ import pytest
 
 from mublogic import experiment, logic
 from mublogic.devices import born, prepare
-from mublogic.experiment import Behavior, CrossCell, cross_validate
+from mublogic.experiment import cross_validate
 from mublogic.logic import (
     Decidability,
     Proposition,
@@ -83,7 +83,7 @@ def test_born_matches_per_state_inner_products(d):
     states = [[basis_state(dim, m, j) for j in range(d)] for m in range(d + 1)]
     for a in range(d + 1):
         for b in range(d):
-            psi = prepare(Proposition.of(a, b, dim))
+            psi = prepare(Proposition(a, b, dim))
             for m in range(d + 1):
                 raw = [abs(np.vdot(states[m][j], psi)) ** 2 for j in range(d)]
                 # outcome n reads state j = -n mod d, except in the Z basis
@@ -122,7 +122,7 @@ def oracle_decide(axiom_group: set, theorem_group: set, d: int) -> Decidability:
 @pytest.mark.parametrize("d", SMALL_PRIMES)
 def test_logic_route_matches_filter_oracle(d):
     dim = Dimension(d)
-    props = {(a, b): Proposition.of(a, b, dim) for a in range(d + 1) for b in range(d)}
+    props = {(a, b): Proposition(a, b, dim) for a in range(d + 1) for b in range(d)}
     groups = {key: enumerate_group(p) for key, p in props.items()}
     table = partition_table(dim)
     for (a, b), axiom in props.items():
@@ -142,11 +142,11 @@ def test_logic_route_matches_filter_oracle(d):
             if verdicts.count(Decidability.PROVABLY_TRUE) == 1 and verdicts.count(
                 Decidability.PROVABLY_FALSE
             ) == d - 1:
-                expected = Behavior.deterministic(verdicts.index(Decidability.PROVABLY_TRUE))
+                expected = verdicts.index(Decidability.PROVABLY_TRUE)
             elif verdicts.count(Decidability.UNDECIDABLE) == d:
-                expected = Behavior.uniform()
+                expected = d  # uniform
             else:
-                expected = Behavior.mixed()
+                expected = d + 1  # mixed
             assert predicted_behavior(axiom, m) == expected
 
 
@@ -183,7 +183,7 @@ def assert_cells_equal_per_cell_reference(dim, tol):
     report_cells = iter(cells(cross_validate(dim, tol)))
     for a in range(d + 1):
         for b in range(d):
-            axiom = Proposition.of(a, b, dim)
+            axiom = Proposition(a, b, dim)
             psi = prepare(axiom)
             for m in range(d + 1):
                 probabilities = born(psi, m)
@@ -193,9 +193,9 @@ def assert_cells_equal_per_cell_reference(dim, tol):
                 deviation = max(
                     abs(probabilities[n] - multiplicities[n] / d) for n in range(d)
                 )
-                expected = Behavior.deterministic(b) if m == a else Behavior.uniform()
+                expected = b if m == a else d  # a point mass at b, else uniform
                 agree = observed == predicted == expected
                 cell = next(report_cells)
-                assert cell == CrossCell(axiom, m, predicted, observed, agree, deviation)
-                assert cell.born_vs_counting_deviation.hex() == float(deviation).hex()
+                assert cell == (a, b, m, predicted, observed, agree, deviation)
+                assert cell[-1].hex() == float(deviation).hex()
     assert next(report_cells, None) is None

@@ -239,7 +239,7 @@ def test_probs_serializes_17_significant_digits(capsys):
     from mublogic.logic import Proposition
     from mublogic.modmath import Dimension
 
-    exact = born(prepare(Proposition.of(0, 1, Dimension(3))), 2)
+    exact = born(prepare(Proposition(0, 1, Dimension(3))), 2)
     # serialization must round-trip every double bit-exactly
     assert env["payload"]["probabilities"] == list(exact)
     assert to_json(0.1) == "0.10000000000000001"
@@ -317,6 +317,41 @@ def test_out_of_range_residue_envelope(capsys, argv, envelope):
     code = main([*argv, "--format", "machine"])
     assert code == 1
     assert capsys.readouterr().out == envelope + "\n"
+
+
+# run checks the measurement index before the trial count; unlike
+# devices.measurement, its message names no range
+RUN_BOUNDARY_ENVELOPES = [
+    (
+        ("run", "--d", "3", "--axiom", "0,0", "--measure", "9", "--trials", "10", "--seed", "1"),
+        '{"schema_version": "1.0.0", "command": "run", "parameters": {"d": 3, "axiom": [0, 0], "measure": 9, "trials": 10, "seed": 1}, "status": "error", "payload": null, "error_message": "measurement index 9 out of range"}',
+    ),
+    (
+        ("run", "--d", "3", "--axiom", "0,0", "--measure", "-1", "--trials", "10", "--seed", "1"),
+        '{"schema_version": "1.0.0", "command": "run", "parameters": {"d": 3, "axiom": [0, 0], "measure": -1, "trials": 10, "seed": 1}, "status": "error", "payload": null, "error_message": "measurement index -1 out of range"}',
+    ),
+    (
+        ("run", "--d", "3", "--axiom", "0,0", "--measure", "1", "--trials", "0", "--seed", "1"),
+        '{"schema_version": "1.0.0", "command": "run", "parameters": {"d": 3, "axiom": [0, 0], "measure": 1, "trials": 0, "seed": 1}, "status": "error", "payload": null, "error_message": "trials must be >= 1"}',
+    ),
+    (
+        ("run", "--d", "3", "--axiom", "0,0", "--measure", "1", "--trials", "-5", "--seed", "1"),
+        '{"schema_version": "1.0.0", "command": "run", "parameters": {"d": 3, "axiom": [0, 0], "measure": 1, "trials": -5, "seed": 1}, "status": "error", "payload": null, "error_message": "trials must be >= 1"}',
+    ),
+    (
+        ("run", "--d", "3", "--axiom", "0,0", "--measure", "9", "--trials", "0", "--seed", "1"),
+        '{"schema_version": "1.0.0", "command": "run", "parameters": {"d": 3, "axiom": [0, 0], "measure": 9, "trials": 0, "seed": 1}, "status": "error", "payload": null, "error_message": "measurement index 9 out of range"}',
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, envelope", RUN_BOUNDARY_ENVELOPES,
+                         ids=[" ".join(argv[5:9]) for argv, _ in RUN_BOUNDARY_ENVELOPES])
+def test_run_boundary_errors_are_pinned(capsys, argv, envelope):
+    assert main([*argv, "--format", "machine"]) == 1
+    assert capsys.readouterr() == (envelope + "\n", "")
+    assert main(list(argv)) == 1
+    assert capsys.readouterr() == (f"error: {json.loads(envelope)['error_message']}\n", "")
 
 
 BAD_SEEDS = ["-1", str(2**64), str(5 + 2**64), "five"]
@@ -449,21 +484,29 @@ def test_table_json_at_least_2x_faster_than_to_json_of_nested_lists():
     assert 2 * fragment <= best_of(lambda: to_json(partition_array(dim).tolist()))
 
 
+def reference_behavior_doc(code, d):
+    """A behavior code as the payload spells it."""
+    if code < d:
+        return {"kind": "deterministic", "outcome": code}
+    return {"kind": "uniform" if code == d else "mixed", "outcome": None}
+
+
 def reference_cross_report_doc(report, cells):
     """The cross-validate payload as one dict per cell, from the report's cells."""
+    d = report.dim.d
     return {
-        "d": report.dim.d,
+        "d": d,
         "tol": float(report.tol),
         "cells": [
             {
-                "axiom": [cell.axiom.a, cell.axiom.b],
-                "measure": cell.m,
-                "predicted": {"kind": cell.predicted.kind, "outcome": cell.predicted.outcome},
-                "observed": {"kind": cell.observed.kind, "outcome": cell.observed.outcome},
-                "agree": cell.agree,
-                "born_vs_counting_deviation": float(cell.born_vs_counting_deviation),
+                "axiom": [a, b],
+                "measure": m,
+                "predicted": reference_behavior_doc(predicted, d),
+                "observed": reference_behavior_doc(observed, d),
+                "agree": agree,
+                "born_vs_counting_deviation": deviation,
             }
-            for cell in cells
+            for a, b, m, predicted, observed, agree, deviation in cells
         ],
         "disagreements": report.disagreements,
         "max_born_vs_counting_deviation": float(report.max_born_vs_counting_deviation),
@@ -478,7 +521,7 @@ def test_cross_report_template_equals_per_cell_dicts(d, tol):
     assert to_json(_cross_report_doc(report)) == to_json(reference_cross_report_doc(report, cells(report)))
     if tol == 1e-20:  # every disagreeing cell is observed mixed
         assert report.disagreements == 1552
-        assert {cell.observed.kind for cell in cells(report) if not cell.agree} == {"mixed"}
+        assert {cell[4] for cell in cells(report) if not cell[5]} == {d + 1}
 
 
 def test_cross_report_template_equals_per_cell_dicts_on_a_disagreeing_report():
@@ -588,8 +631,8 @@ def test_rendered_envelope_bytes_are_pinned(argv):
 
 def test_text_cross_validate_builds_cells_only_where_they_disagree(capsys, monkeypatch):
     built = []
-    cell = CrossReport.cell
-    monkeypatch.setattr(CrossReport, "cell", lambda report, i: built.append(i) or cell(report, i))
+    line = cli.disagreement_line
+    monkeypatch.setattr(cli, "disagreement_line", lambda report, i: built.append(i) or line(report, i))
     code, out = invoke(capsys, "cross-validate", "--d", "11", "--tol", "1e-20")
     assert code == 2
     assert len(built) == out.count("DISAGREE") == 1552
@@ -715,7 +758,7 @@ def invalid_argvs():
         ["verify-mub", "--d", "9"],
         ["verify-mub", "--d", "3", "--tol", "1e-20"],
     ]
-    argvs += [list(argv) for argv, _ in OUT_OF_RANGE_ENVELOPES]
+    argvs += [list(argv) for argv, _ in OUT_OF_RANGE_ENVELOPES + RUN_BOUNDARY_ENVELOPES]
     argvs += [
         ["run", "--d", "3", "--axiom", "0,0", "--measure", "1", "--trials", "10", "--seed", seed]
         for seed in BAD_SEEDS

@@ -17,7 +17,7 @@ from mublogic.devices import (
     prepare,
     trial_uniforms,
 )
-from mublogic.experiment import ExperimentConfig, run
+from mublogic.experiment import run
 from mublogic.logic import Proposition
 from mublogic.modmath import Dimension
 from mublogic.mub import basis_matrix, basis_state
@@ -73,10 +73,10 @@ def test_encode_proportional_to_group_form(d):
 
 
 def test_prepare_examples():
-    assert np.allclose(prepare(Proposition.of(3, 2, D3)), np.eye(3)[:, 2])
+    assert np.allclose(prepare(Proposition(3, 2, D3)), np.eye(3)[:, 2])
     # b = 0 leaves |0>_a fixed exactly, not merely up to phase
-    assert np.array_equal(prepare(Proposition.of(0, 0, D3)), basis_state(D3, 0, 0))
-    assert phase_distance(prepare(Proposition.of(1, 1, D3)), basis_state(D3, 1, 2)) < 1e-12
+    assert np.array_equal(prepare(Proposition(0, 0, D3)), basis_state(D3, 0, 0))
+    assert phase_distance(prepare(Proposition(1, 1, D3)), basis_state(D3, 1, 2)) < 1e-12
 
 
 @pytest.mark.parametrize("d", PRIMES)
@@ -84,7 +84,7 @@ def test_prepare_lands_on_shifted_label(d):
     dim = Dimension(d)
     for a in range(d + 1):
         for b in range(d):
-            state = prepare(Proposition.of(a, b, dim))
+            state = prepare(Proposition(a, b, dim))
             target_j = b if a == d else (-b) % d
             assert phase_distance(state, basis_state(dim, a, target_j)) < 1e-10
 
@@ -94,7 +94,7 @@ def test_group_members_encode_same_state(d):
     dim = Dimension(d)
     for a in range(d + 1):
         for b in range(d):
-            states = [prepare_with(f, a) for f in group(Proposition.of(a, b, dim))]
+            states = [prepare_with(f, a) for f in group(Proposition(a, b, dim))]
             for s, t in itertools.combinations(states, 2):
                 assert abs(np.vdot(s, t)) > 1.0 - 1e-10
 
@@ -110,7 +110,7 @@ def test_prepare_is_the_column_of_b_a_that_b_names(d):
         matrix = basis_matrix(dim, a)
         for b in range(d):
             j = b if a == d else (-b) % d
-            state = prepare(Proposition.of(a, b, dim))
+            state = prepare(Proposition(a, b, dim))
             assert state.tobytes() == basis_state(dim, a, j).tobytes()
             assert state.tobytes() == matrix[:, j].tobytes()
 
@@ -124,16 +124,16 @@ def test_prepare_matches_the_canonical_unitary_encoding(d):
         for b in range(d):
             f0, f1 = (b, 0) if a == d else (0, b)
             reference = prepare_with(BinaryFunction.from_values(f0, f1, dim), a)
-            state = prepare(Proposition.of(a, b, dim))
+            state = prepare(Proposition(a, b, dim))
             assert np.max(np.abs(state - reference)) <= 1e-14
 
 
 def test_born_examples():
-    probs = born(prepare(Proposition.of(0, 1, D3)), 0)
+    probs = born(prepare(Proposition(0, 1, D3)), 0)
     assert np.allclose(probs, [0, 1, 0], atol=1e-12)
-    flat = born(prepare(Proposition.of(0, 1, D3)), 2)
+    flat = born(prepare(Proposition(0, 1, D3)), 2)
     assert np.allclose(flat, [1 / 3] * 3, atol=1e-10)
-    pin = born(prepare(Proposition.of(3, 2, D3)), 3)
+    pin = born(prepare(Proposition(3, 2, D3)), 3)
     assert np.allclose(pin, [0, 0, 1], atol=1e-12)
 
 
@@ -142,7 +142,7 @@ def test_confirmation_point_mass(d):
     dim = Dimension(d)
     for a in range(d + 1):
         for b in range(d):
-            probs = born(prepare(Proposition.of(a, b, dim)), a)
+            probs = born(prepare(Proposition(a, b, dim)), a)
             expected = np.zeros(d)
             expected[b] = 1.0
             assert np.max(np.abs(probs - expected)) < 1e-12
@@ -153,7 +153,7 @@ def test_complementarity_uniform(d):
     dim = Dimension(d)
     for a in range(d + 1):
         for b in range(d):
-            state = prepare(Proposition.of(a, b, dim))
+            state = prepare(Proposition(a, b, dim))
             for m in range(d + 1):
                 if m == a:
                     continue
@@ -166,7 +166,7 @@ def test_born_matches_counting_oracle(d):
     dim = Dimension(d)
     for a in range(d + 1):
         for b in range(d):
-            axiom = Proposition.of(a, b, dim)
+            axiom = Proposition(a, b, dim)
             state = prepare(axiom)
             for m in range(d + 1):
                 probs = born(state, m)
@@ -195,7 +195,7 @@ def test_states_and_distributions_are_unit_arrays(d):
     measure = [measurement(dim, m) for m in range(d + 1)]
     for a in range(d + 1):
         for b in range(d):
-            state = prepare(Proposition.of(a, b, dim))
+            state = prepare(Proposition(a, b, dim))
             assert_state_invariants(state, d)
             for m in range(d + 1):
                 assert_distribution_invariants(measure[m](state), d)
@@ -205,7 +205,7 @@ def test_states_and_distributions_are_unit_arrays(d):
 def test_probs_cells_are_unit_arrays_at_large_d(d):
     dim = Dimension(d)
     for a, b in ((0, 1), (1, 0), (d // 2, d - 1), (d, 1)):
-        state = prepare(Proposition.of(a, b, dim))
+        state = prepare(Proposition(a, b, dim))
         assert_state_invariants(state, d)
         for m in sorted({0, a, (a + 1) % (d + 1), d}):
             assert_distribution_invariants(born(state, m), d)
@@ -232,7 +232,7 @@ def test_born_bits_are_pinned(d):
     digest = hashlib.sha256()
     for a in range(d + 1):
         for b in range(d):
-            state = prepare(Proposition.of(a, b, dim))
+            state = prepare(Proposition(a, b, dim))
             for m in range(d + 1):
                 digest.update(read(state, m).tobytes())
     assert digest.hexdigest() == BORN_SHA256[d]
@@ -275,13 +275,13 @@ def test_outcomes_follow_sample_rule_at_boundaries(probabilities):
 
 
 def test_sample_sequence_regression():
-    dist = born(prepare(Proposition.of(0, 0, D3)), 1)
+    dist = born(prepare(Proposition(0, 0, D3)), 1)
     seq = [sample(dist, trial_rng(123, t)) for t in range(20)]
     assert seq == SAMPLE_SEQUENCE_SEED_123
 
 
 def test_uniform_sampling_within_binomial_band():
-    dist = born(prepare(Proposition.of(0, 0, D3)), 1)
+    dist = born(prepare(Proposition(0, 0, D3)), 1)
     trials = 10_000
     counts = [0, 0, 0]
     for t in range(trials):
@@ -329,41 +329,40 @@ def test_trial_uniforms_seed_range_and_empty_run():
             trial_uniforms(seed, 1)
 
 
-def scalar_counts(config):
-    dist = born(prepare(config.axiom), config.m)
-    counts = [0] * config.dim.d
-    for t in range(config.trials):
-        counts[sample(dist, trial_rng(config.seed, t))] += 1
-    return tuple(counts)
+def scalar_counts(axiom, m, trials, seed):
+    dist = born(prepare(axiom), m)
+    counts = [0] * axiom.dim.d
+    for t in range(trials):
+        counts[sample(dist, trial_rng(seed, t))] += 1
+    return counts
 
 
 @st.composite
-def experiment_configs(draw):
+def experiments(draw):
+    """The arguments of one run(): axiom, m, trials, seed."""
     dim = Dimension(draw(st.sampled_from([2, 3, 5, 7, 11, 13])))
     a = draw(st.integers(0, dim.d))
     # half the cells are point masses (m = a), where zero-probability labels
     # and the past-the-end fallback matter
     m = a if draw(st.booleans()) else draw(st.integers(0, dim.d))
-    axiom = Proposition.of(a, draw(st.integers(0, dim.d - 1)), dim)
-    return ExperimentConfig(
-        dim, axiom, m, draw(st.integers(1, 500)), draw(st.integers(0, 2**64 - 1))
-    )
+    axiom = Proposition(a, draw(st.integers(0, dim.d - 1)), dim)
+    return axiom, m, draw(st.integers(1, 500)), draw(st.integers(0, 2**64 - 1))
 
 
-@given(experiment_configs())
-def test_run_counts_equal_scalar_sample_loop(config):
-    assert run(config).counts == scalar_counts(config)
+@given(experiments())
+def test_run_counts_equal_scalar_sample_loop(experiment):
+    assert run(*experiment).tolist() == scalar_counts(*experiment)
 
 
 def test_vectorized_run_at_least_20x_faster_than_scalar_loop():
-    config = ExperimentConfig(D3, Proposition.of(0, 0, D3), 1, 20_000, 11)
+    experiment = (Proposition(0, 0, D3), 1, 20_000, 11)
     start = time.perf_counter()
-    expected = scalar_counts(config)
+    expected = scalar_counts(*experiment)
     scalar_s = time.perf_counter() - start
     vector_s = float("inf")
     for _ in range(3):
         start = time.perf_counter()
-        counts = run(config).counts
+        counts = run(*experiment).tolist()
         vector_s = min(vector_s, time.perf_counter() - start)
     assert counts == expected
     assert scalar_s >= 20 * vector_s, (scalar_s, vector_s)

@@ -1,15 +1,12 @@
 """Experiment runner, chi-square uniformity test, and cross-validation."""
 
+import numpy as np
 import pytest
 
 from mublogic import devices, mub
 from mublogic.experiment import (
     ALPHA,
     CHI2_CRITICAL_001,
-    Behavior,
-    ExperimentConfig,
-    Tally,
-    UniformityVerdict,
     ValidityError,
     chi_square_uniform,
     cross_validate,
@@ -22,80 +19,70 @@ from reference import cells, observed_behavior, predicted_behavior
 D3 = Dimension(3)
 
 # recorded once; guards cross-version stability of the seeded stream
-TALLY_D3_SEED42_9000 = (2959, 3018, 3023)
+TALLY_D3_SEED42_9000 = [2959, 3018, 3023]
 
 
-def config(d, a, b, m, trials, seed):
+def run_at(d, a, b, m, trials, seed):
     dim = Dimension(d)
-    return ExperimentConfig(dim, Proposition.of(a, b, dim), m, trials, seed)
+    return run(Proposition(a, b, dim), m, trials, seed)
 
 
-def test_config_seed_must_lie_in_64_bit_range():
-    config(3, 0, 0, 1, 10, 0)
-    config(3, 0, 0, 1, 10, 2**64 - 1)
+def test_run_seed_must_lie_in_64_bit_range():
+    run_at(3, 0, 0, 1, 10, 0)
+    run_at(3, 0, 0, 1, 10, 2**64 - 1)
     for seed in (-1, 2**64, 5 + 2**64):
-        with pytest.raises(ValueError, match="seed"):
-            config(3, 0, 0, 1, 10, seed)
+        with pytest.raises(ValueError, match=rf"^seed must lie in \[0, 2\*\*64\), got {seed}$"):
+            run_at(3, 0, 0, 1, 10, seed)
 
 
 def test_run_deterministic_at_matching_setting():
-    tally = run(config(3, 0, 0, 0, 100, 42))
-    assert tally.counts == (100, 0, 0)
+    counts = run_at(3, 0, 0, 0, 100, 42)
+    assert counts.tolist() == [100, 0, 0]
 
 
 def test_run_uniform_within_binomial_band():
-    tally = run(config(3, 0, 0, 1, 9000, 42))
-    assert tally.counts == TALLY_D3_SEED42_9000
+    counts = run_at(3, 0, 0, 1, 9000, 42)
+    assert counts.tolist() == TALLY_D3_SEED42_9000
     sigma = (9000 * (1 / 3) * (2 / 3)) ** 0.5
-    for c in tally.counts:
+    for c in counts:
         assert abs(c - 3000) < 5 * sigma
 
 
 def test_run_small_deterministic_case():
-    tally = run(config(2, 2, 1, 2, 7, 1))
-    assert tally.counts == (0, 7)
+    assert run_at(2, 2, 1, 2, 7, 1).tolist() == [0, 7]
 
 
 def test_run_reproducible():
-    cfg = config(3, 1, 2, 2, 500, 2024)
-    assert run(cfg).counts == run(cfg).counts
+    assert np.array_equal(run_at(3, 1, 2, 2, 500, 2024), run_at(3, 1, 2, 2, 500, 2024))
 
 
 def test_chi_square_balanced_tally():
-    cfg = config(3, 0, 0, 1, 9000, 0)
-    result = chi_square_uniform(Tally((3000, 3000, 3000), cfg))
-    assert result.chi_square_statistic == 0.0
-    assert result.degrees_of_freedom == 2
-    assert result.critical_value == 13.816
-    assert result.verdict is UniformityVerdict.CONSISTENT_WITH_UNIFORM
+    assert chi_square_uniform(np.array([3000, 3000, 3000])) == (
+        0.0, 2, 13.816, "ConsistentWithUniform"
+    )
 
 
 def test_chi_square_degenerate_tally():
-    cfg = config(3, 0, 0, 0, 9000, 0)
-    result = chi_square_uniform(Tally((9000, 0, 0), cfg))
-    assert result.chi_square_statistic == pytest.approx(18000.0)
-    assert result.verdict is UniformityVerdict.REJECT_UNIFORM
+    statistic, _, _, verdict = chi_square_uniform(np.array([9000, 0, 0]))
+    assert statistic == pytest.approx(18000.0)
+    assert verdict == "RejectUniform"
 
 
 def test_chi_square_seeded_uniform_run():
-    tally = run(config(5, 0, 0, 1, 10_000, 7))
-    result = chi_square_uniform(tally)
-    assert result.degrees_of_freedom == 4
-    assert result.verdict is UniformityVerdict.CONSISTENT_WITH_UNIFORM
+    _, df, _, verdict = chi_square_uniform(run_at(5, 0, 0, 1, 10_000, 7))
+    assert df == 4
+    assert verdict == "ConsistentWithUniform"
 
 
 def test_chi_square_validity_floor():
-    cfg = config(3, 0, 0, 1, 14, 0)
-    with pytest.raises(ValidityError):
-        chi_square_uniform(Tally((5, 5, 4), cfg))
+    with pytest.raises(ValidityError, match="^needs at least 15 trials for a verdict$"):
+        chi_square_uniform(np.array([5, 5, 4]))
 
 
 def test_chi_square_needs_embedded_critical_value():
-    d37 = Dimension(37)
-    cfg = ExperimentConfig(d37, Proposition.of(0, 0, d37), 0, 370, 0)
-    counts = tuple([370] + [0] * 36)
-    with pytest.raises(ValidityError):
-        chi_square_uniform(Tally(counts, cfg))
+    counts = np.array([370] + [0] * 36)
+    with pytest.raises(ValidityError, match="^no embedded chi-square critical value for df = 36$"):
+        chi_square_uniform(counts)
 
 
 def test_critical_values_against_scipy_oracle():
@@ -105,41 +92,34 @@ def test_critical_values_against_scipy_oracle():
         assert value == pytest.approx(exact, abs=5e-4), df
 
 
-def test_tally_validation():
-    cfg = config(3, 0, 0, 0, 10, 0)
-    with pytest.raises(ValueError):
-        Tally((5, 5), cfg)
-    with pytest.raises(ValueError):
-        Tally((5, 5, 5), cfg)
-    with pytest.raises(ValueError):
-        Tally((11, -1, 0), cfg)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        config(3, 0, 0, 4, 10, 0)
-    with pytest.raises(ValueError):
-        config(3, 0, 0, 0, 0, 0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(D3, Proposition.of(0, 0, Dimension(5)), 0, 10, 0)
+def test_run_validation():
+    with pytest.raises(ValueError, match="^measurement index 4 out of range$"):
+        run_at(3, 0, 0, 4, 10, 0)
+    with pytest.raises(ValueError, match="^trials must be >= 1$"):
+        run_at(3, 0, 0, 0, 0, 0)
+    # the measurement index first, then the trial count, then the seed
+    with pytest.raises(ValueError, match="^measurement index -1 out of range$"):
+        run_at(3, 0, 0, -1, 0, -1)
+    with pytest.raises(ValueError, match="^trials must be >= 1$"):
+        run_at(3, 0, 0, 0, 0, -1)
 
 
 def test_observed_behavior_classification():
-    assert observed_behavior([0.0, 1.0, 0.0], 3, 1e-9) == Behavior.deterministic(1)
+    assert observed_behavior([0.0, 1.0, 0.0], 3, 1e-9) == 1
     third = 1 / 3
-    assert observed_behavior([third, third, third], 3, 1e-9) == Behavior.uniform()
-    assert observed_behavior([0.5, 0.5, 0.0], 3, 1e-9) == Behavior.mixed()
+    assert observed_behavior([third, third, third], 3, 1e-9) == 3
+    assert observed_behavior([0.5, 0.5, 0.0], 3, 1e-9) == 4
 
 
 def test_predicted_behavior_from_decidability():
-    axiom = Proposition.of(1, 1, D3)
-    assert predicted_behavior(axiom, 1) == Behavior.deterministic(1)
-    assert predicted_behavior(axiom, 2) == Behavior.uniform()
-    assert predicted_behavior(axiom, 3) == Behavior.uniform()
+    axiom = Proposition(1, 1, D3)
+    assert predicted_behavior(axiom, 1) == 1
+    assert predicted_behavior(axiom, 2) == 3
+    assert predicted_behavior(axiom, 3) == 3
 
 
 def test_predicted_behavior_rejects_measurement_outside_range():
-    axiom = Proposition.of(1, 1, D3)
+    axiom = Proposition(1, 1, D3)
     for m in (-1, 4, 7):
         with pytest.raises(ValueError, match=rf"measurement index {m} out of range \[0, 3\]"):
             predicted_behavior(axiom, m)
@@ -156,13 +136,9 @@ def test_cross_validate_all_cells_agree(d):
 
 def test_cross_validate_cell_detail():
     report = cross_validate(D3)
-    by_key = {(c.axiom.a, c.axiom.b, c.m): c for c in cells(report)}
-    cell = by_key[(1, 1, 1)]
-    assert cell.predicted == Behavior.deterministic(1)
-    assert cell.observed == Behavior.deterministic(1)
-    off = by_key[(1, 1, 2)]
-    assert off.predicted == Behavior.uniform()
-    assert off.observed == Behavior.uniform()
+    by_key = {cell[:3]: cell[3:5] for cell in cells(report)}
+    assert by_key[1, 1, 1] == (1, 1)  # both a point mass at n = 1
+    assert by_key[1, 1, 2] == (3, 3)  # both uniform
 
 
 def test_cross_validate_flags_routes_that_agree_on_the_wrong_outcome(monkeypatch):
@@ -175,12 +151,12 @@ def test_cross_validate_flags_routes_that_agree_on_the_wrong_outcome(monkeypatch
     monkeypatch.setattr(experiment, "_column", lambda n, m, d: column((n + 1) % d, m, d))
     monkeypatch.setattr(
         experiment, "label_count_matrix",
-        lambda axiom: matrix(Proposition.of(axiom.a, (axiom.b + 1) % d, axiom.dim)),
+        lambda axiom: matrix(Proposition(axiom.a, (axiom.b + 1) % d, axiom.dim)),
     )
     report = cross_validate(Dimension(d))
-    wrong = [cell for cell in cells(report) if not cell.agree]
+    wrong = [(a, b, m, p, o) for a, b, m, p, o, agree, _ in cells(report) if not agree]
     assert len(wrong) == report.disagreements == (d + 1) * d
-    assert all(cell.m == cell.axiom.a and cell.predicted == cell.observed for cell in wrong)
+    assert all(m == a and p == o for a, b, m, p, o in wrong)
 
 
 def test_cross_validate_rejects_oversized_d():

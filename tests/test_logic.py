@@ -40,17 +40,17 @@ def pairs(functions) -> list[tuple[int, int]]:
 
 
 def test_holds_table_cells():
-    assert holds(BinaryFunction.from_values(0, 1, D3), Proposition.of(0, 1, D3))
-    assert holds(BinaryFunction.from_values(1, 2, D3), Proposition.of(1, 1, D3))
-    assert holds(BinaryFunction.from_values(2, 0, D3), Proposition.of(3, 2, D3))
-    assert not holds(BinaryFunction.from_values(0, 0, D3), Proposition.of(0, 1, D3))
+    assert holds(BinaryFunction.from_values(0, 1, D3), Proposition(0, 1, D3))
+    assert holds(BinaryFunction.from_values(1, 2, D3), Proposition(1, 1, D3))
+    assert holds(BinaryFunction.from_values(2, 0, D3), Proposition(3, 2, D3))
+    assert not holds(BinaryFunction.from_values(0, 0, D3), Proposition(0, 1, D3))
 
 
 def test_group_printed_cells():
-    assert pairs(group(Proposition.of(2, 1, D3))) == [(0, 1), (1, 0), (2, 2)]
-    assert pairs(group(Proposition.of(3, 0, D3))) == [(0, 0), (0, 1), (0, 2)]
+    assert pairs(group(Proposition(2, 1, D3))) == [(0, 1), (1, 0), (2, 2)]
+    assert pairs(group(Proposition(3, 0, D3))) == [(0, 0), (0, 1), (0, 2)]
     d2 = Dimension(2)
-    assert pairs(group(Proposition.of(0, 0, d2))) == [(0, 0), (1, 0)]
+    assert pairs(group(Proposition(0, 0, d2))) == [(0, 0), (1, 0)]
 
 
 @pytest.mark.parametrize("d", PRIMES)
@@ -58,7 +58,7 @@ def test_group_matches_enumeration_oracle(d):
     dim = Dimension(d)
     for a in range(d + 1):
         for b in range(d):
-            p = Proposition.of(a, b, dim)
+            p = Proposition(a, b, dim)
             members = group(p)
             assert {f.pair for f in members} == enumerate_group(p)
             assert all(holds(f, p) for f in members)
@@ -101,7 +101,7 @@ def test_cross_partition_intersections_are_singletons(d):
     for a, m in itertools.combinations(range(d + 1), 2):
         for b in range(d):
             for n in range(d):
-                common = intersect(Proposition.of(a, b, dim), Proposition.of(m, n, dim))
+                common = intersect(Proposition(a, b, dim), Proposition(m, n, dim))
                 assert len(common) == 1
 
 
@@ -110,27 +110,27 @@ def test_same_partition_groups_disjoint(d):
     dim = Dimension(d)
     for a in range(d + 1):
         for b, b2 in itertools.combinations(range(d), 2):
-            assert intersect(Proposition.of(a, b, dim), Proposition.of(a, b2, dim)) == ()
+            assert intersect(Proposition(a, b, dim), Proposition(a, b2, dim)) == ()
 
 
 def test_intersect_examples():
-    p, q = Proposition.of(1, 1, D3), Proposition.of(2, 0, D3)
+    p, q = Proposition(1, 1, D3), Proposition(2, 0, D3)
     assert pairs(intersect(p, q)) == [(1, 2)]
     assert set(intersect(p, p)) == set(group(p))
-    assert intersect(p, Proposition.of(1, 2, D3)) == ()
+    assert intersect(p, Proposition(1, 2, D3)) == ()
 
 
 def test_decide_examples():
-    axiom = Proposition.of(1, 1, D3)
+    axiom = Proposition(1, 1, D3)
     assert decide(axiom, axiom) is Decidability.PROVABLY_TRUE
-    assert decide(axiom, Proposition.of(1, 2, D3)) is Decidability.PROVABLY_FALSE
-    assert decide(axiom, Proposition.of(2, 0, D3)) is Decidability.UNDECIDABLE
+    assert decide(axiom, Proposition(1, 2, D3)) is Decidability.PROVABLY_FALSE
+    assert decide(axiom, Proposition(2, 0, D3)) is Decidability.UNDECIDABLE
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_decide_trichotomy(d):
     dim = Dimension(d)
-    props = [Proposition.of(a, b, dim) for a in range(d + 1) for b in range(d)]
+    props = [Proposition(a, b, dim) for a in range(d + 1) for b in range(d)]
     for axiom in props:
         for theorem in props:
             verdict = decide(axiom, theorem)
@@ -150,10 +150,10 @@ def test_decide_trichotomy(d):
 
 
 def test_outcome_multiplicities_examples():
-    axiom = Proposition.of(1, 1, D3)
+    axiom = Proposition(1, 1, D3)
     assert outcome_multiplicities(axiom, 1) == {0: 0, 1: 3, 2: 0}
     assert outcome_multiplicities(axiom, 2) == {0: 1, 1: 1, 2: 1}
-    assert outcome_multiplicities(Proposition.of(3, 0, D3), 0) == {0: 1, 1: 1, 2: 1}
+    assert outcome_multiplicities(Proposition(3, 0, D3), 0) == {0: 1, 1: 1, 2: 1}
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
@@ -161,7 +161,7 @@ def test_outcome_multiplicities_point_or_flat(d):
     dim = Dimension(d)
     for a in range(d + 1):
         for b in range(d):
-            axiom = Proposition.of(a, b, dim)
+            axiom = Proposition(a, b, dim)
             for m in range(d + 1):
                 counts = outcome_multiplicities(axiom, m)
                 assert sum(counts.values()) == d
@@ -172,7 +172,7 @@ def test_outcome_multiplicities_point_or_flat(d):
 
 
 VALUE_CONSTRUCTORS = {
-    "Proposition.of b": lambda v: Proposition.of(0, v, D3),
+    "Proposition b": lambda v: Proposition(0, v, D3),
     "BinaryFunction.from_values f0": lambda v: BinaryFunction.from_values(v, 0, D3),
     "BinaryFunction.from_values f1": lambda v: BinaryFunction.from_values(0, v, D3),
 }
@@ -192,21 +192,21 @@ def test_values_in_z_d_are_checked(make):
 
 def test_partition_index_checked_after_b():
     with pytest.raises(ValueError, match=r"^partition index 4 out of range \[0, 3\]$"):
-        Proposition.of(4, 0, D3)
+        Proposition(4, 0, D3)
     with pytest.raises(TypeError, match="^partition index must be an int"):
-        Proposition.of(True, 0, D3)
+        Proposition(True, 0, D3)
     with pytest.raises(ValueError, match="^residue 9 out of range"):
-        Proposition.of(9, 9, D3)
+        Proposition(9, 9, D3)
     with pytest.raises(TypeError, match="^residue value must be an int"):
-        Proposition.of(9, 1.0, D3)
+        Proposition(9, 1.0, D3)
 
 
 def test_functions_and_propositions_of_different_dimensions_do_not_mix():
     d5 = Dimension(5)
     with pytest.raises(DimensionMismatch):
-        holds(BinaryFunction.from_values(0, 0, D3), Proposition.of(0, 0, d5))
+        holds(BinaryFunction.from_values(0, 0, D3), Proposition(0, 0, d5))
     with pytest.raises(DimensionMismatch):
-        decide(Proposition.of(0, 0, D3), Proposition.of(0, 0, d5))
+        decide(Proposition(0, 0, D3), Proposition(0, 0, d5))
     assert BinaryFunction.from_values(1, 2, D3) != BinaryFunction.from_values(1, 2, d5)
 
 
@@ -215,7 +215,7 @@ def test_label_count_matrix_stacks_label_counts(d):
     dim = Dimension(d)
     for a in range(d + 1):
         for b in range(d):
-            axiom = Proposition.of(a, b, dim)
+            axiom = Proposition(a, b, dim)
             matrix = label_count_matrix(axiom)
             stacked = np.stack([label_counts(axiom, m) for m in range(d + 1)])
             assert matrix.dtype == stacked.dtype and np.array_equal(matrix, stacked), (a, b)

@@ -1,5 +1,6 @@
 """The runnable sweep scripts, end to end as subprocesses."""
 
+import hashlib
 import importlib.util
 import os
 import re
@@ -31,13 +32,31 @@ def test_uniformity_sweep_d3_default_trials():
     assert all(cell[3] == "RejectUniform" for cell in point_masses)
 
 
-def run_script(name, *argv):
-    env = dict(os.environ)
+def run_script(name, *argv, **overrides):
+    """Run a script with src on PYTHONPATH; `overrides` set environment variables."""
+    env = dict(os.environ, **overrides)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, str(REPO / "scripts" / name), *argv],
         capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+# sha256 of stdout of each script's default run (one BLAS thread), recorded
+# before run() returned the counts array and chi_square_uniform plain values
+DEFAULT_RUN_SHA256 = {
+    ("uniformity_sweep.py", "--d", "3"):
+        "4aed5c148abb9c1cbf6f168bd0f4f07ba17c418597a4ad85320acc9f886c0cbe",
+    ("cross_validate_sweep.py",):
+        "0ba6df2fedfd1244df57a2cc2ef81e71bcde41bd3f1fe92dcb27c4ccf345de0a",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(DEFAULT_RUN_SHA256), ids=" ".join)
+def test_default_run_stdout_is_pinned(argv):
+    proc = run_script(*argv, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == DEFAULT_RUN_SHA256[argv]
 
 
 def test_cross_validate_sweep_small_primes_agree():
@@ -101,19 +120,11 @@ def test_cross_validate_sweep_lists_disagreeing_cells(capsys, monkeypatch):
     ]
 
 
-def test_cross_validate_sweep_builds_cells_only_where_they_disagree(capsys, monkeypatch):
-    from mublogic.experiment import CrossReport
-
-    spec = importlib.util.spec_from_file_location(
-        "cross_validate_sweep", REPO / "scripts" / "cross_validate_sweep.py"
-    )
-    sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sweep)
-    built = []
-    cell = CrossReport.cell
-    monkeypatch.setattr(CrossReport, "cell", lambda report, i: built.append(i) or cell(report, i))
-    monkeypatch.setattr(sys, "argv", ["cross_validate_sweep.py", "--dims", "11", "--tol", "1e-20"])
-    assert sweep.main() == 1
-    out = capsys.readouterr().out
-    assert len(built) == out.count("DISAGREE") == 1552
-    assert out.splitlines()[1].split()[:3] == ["11", "1584", "1552"]
+def test_cross_validate_sweep_builds_cells_only_where_they_disagree():
+    proc = run_script("cross_validate_sweep.py", "--dims", "11", "--tol", "1e-20")
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[1].split()[:3] == ["11", "1584", "1552"]
+    disagreeing = [line for line in lines if line.startswith("     DISAGREE axiom {")]
+    assert len(disagreeing) == len(set(disagreeing)) == proc.stdout.count("DISAGREE") == 1552
+    assert lines[-1] == "1552 disagreements"
