@@ -2,6 +2,8 @@
 
 A state is its complex128 amplitude array of length d, and a measurement's
 Born distribution is its float64 probability array over outcome labels.
+born() measures the last axis, so a stack of states is measured in one
+call and gives the stack of their distributions.
 
 The paper encodes an axiom {a, b} by starting from |0>_a and applying
 U = X^f(0) Z^f(1) for a function f consistent with the axiom; any member of
@@ -19,8 +21,6 @@ encoding {a, b} report n = b with certainty when measured at m = a.
 """
 
 from __future__ import annotations
-
-from collections.abc import Callable
 
 import numpy as np
 
@@ -46,28 +46,21 @@ def prepare(axiom: Proposition) -> np.ndarray:
     return basis_state(axiom.dim, axiom.a, _column(axiom.b, axiom.a, axiom.dim.d))
 
 
-def measurement(dim: Dimension, m: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Measurement in basis m: amplitudes -> Born probabilities over labels n.
+def born(states: np.ndarray, m: int) -> np.ndarray:
+    """Born probabilities of measuring each state in basis m, over labels n.
 
+    `states` is one amplitude array or a stack of them along the last axis.
     The probabilities |B_m^dagger psi|^2 are capped at 1, so rounding never
-    reports a probability above 1, and put in outcome-label order.
-    Build it once per basis to measure many states.
+    reports a probability above 1, and put in outcome-label order. NumPy
+    runs one gemv per state, so a state in a stack gets the bits it gets
+    when measured alone.
     """
-    d = dim.d
+    d = states.shape[-1]
+    dim = Dimension(d)
     if not 0 <= m <= d:
         raise ValueError(f"measurement index {m} out of range [0, {d}]")
-    adjoint = basis_matrix(dim, m).conj().T
-    labels = _column(np.arange(d), m, d)
-
-    def probabilities(amplitudes: np.ndarray) -> np.ndarray:
-        return np.minimum(np.abs(adjoint @ amplitudes) ** 2, 1.0)[labels]
-
-    return probabilities
-
-
-def born(state: np.ndarray, m: int) -> np.ndarray:
-    """Born probabilities of measuring `state` in basis m, over labels n."""
-    return measurement(Dimension(len(state)), m)(state)
+    amplitudes = (basis_matrix(dim, m).conj().T @ states[..., None])[..., 0]
+    return np.minimum(np.abs(amplitudes) ** 2, 1.0)[..., _column(np.arange(d), m, d)]
 
 
 def outcomes(probabilities: np.ndarray, u: np.ndarray) -> np.ndarray:

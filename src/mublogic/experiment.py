@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .devices import _column, born, measurement, outcomes, prepare, trial_uniforms
-from .logic import Proposition, label_count_matrix
+from .devices import _column, born, outcomes, prepare, trial_uniforms
+from .logic import Proposition, label_count_table
 from .modmath import Dimension
 from .mub import basis_matrix
 
@@ -120,22 +120,21 @@ def cross_validate(dim: Dimension, tol: float = 1e-9) -> CrossReport:
     forecast, the m = a cell is deterministic at n = b, and every m != a
     cell is uniform. The cell also records how far the Born probabilities
     drift from group-counting multiplicities divided by d; for this function
-    family the two are equal. All cells are classified in one array pass;
-    the tests compare it with each cell classified on its own.
+    family the two are equal. Two array passes fill every cell: one born()
+    call per basis m on the stack of all encoded states, and one bincount
+    over the members of every group (label_count_table). All cells are then
+    classified in one array pass; the tests compare it with each cell
+    classified on its own.
     """
     d = dim.d
     if d > 31:
         raise ValueError("cross-validation is a desk-scale sweep; d <= 31 required")
-    measure = [measurement(dim, m) for m in range(d + 1)]
+    k = np.arange(d)
+    # [a, b]: the state of axiom {a, b}, the column of B_a that prepare() returns
+    states = np.stack([basis_matrix(dim, a)[:, _column(k, a, d)].T for a in range(d + 1)])
     # [a, b, m]: the Born probabilities and the label counts of cell ({a, b}, m)
-    probabilities = np.empty((d + 1, d, d + 1, d))
-    counts = np.empty(probabilities.shape, dtype=np.intp)
-    for a in range(d + 1):
-        states = basis_matrix(dim, a)  # prepare() of axiom {a, b} is one of its columns
-        for b in range(d):
-            amplitudes = np.ascontiguousarray(states[:, _column(b, a, d)])
-            probabilities[a, b] = [measure[m](amplitudes) for m in range(d + 1)]
-            counts[a, b] = label_count_matrix(Proposition(a, b, dim))
+    probabilities = np.stack([born(states, m) for m in range(d + 1)], axis=2)
+    counts = label_count_table(dim)
     observed = _behavior_codes(probabilities > 1.0 - tol, np.abs(probabilities - 1.0 / d) <= tol)
     predicted = _behavior_codes(counts == d, counts != 0)
     deviation = np.max(np.abs(probabilities - counts / d), axis=-1)

@@ -94,14 +94,17 @@ def label_counts(axiom: Proposition, m: int) -> np.ndarray:
     return np.bincount(labels, minlength=d)
 
 
-def label_count_matrix(axiom: Proposition) -> np.ndarray:
-    """(d+1, d) array whose row m is label_counts(axiom, m), from one group build."""
-    d = axiom.dim.d
-    f0, f1 = group_arrays(axiom.a, axiom.b, d)
-    labels = np.vstack([(f1 - np.arange(d)[:, None] * f0) % d, f0])
-    # row m's labels offset by m d, so one bincount counts every row
-    offsets = np.arange(0, (d + 1) * d, d)[:, None]
-    return np.bincount((labels + offsets).ravel(), minlength=(d + 1) * d).reshape(d + 1, d)
+def label_count_table(dim: Dimension) -> np.ndarray:
+    """(d+1, d, d+1, d) array whose [a, b, m] is label_counts of axiom {a, b}
+    at m, counted over the members of every group in one bincount."""
+    d = dim.d
+    members = partition_array(dim)[:, :, None]
+    f0, f1 = members[..., 0], members[..., 1]
+    # [a, b, m, k]: the label of member k of group {a, b} under partition m
+    labels = np.concatenate([(f1 - np.arange(d)[:, None] * f0) % d, f0], axis=2)
+    # cell [a, b, m]'s labels offset by its flat index times d
+    offsets = np.arange(0, labels.size, d).reshape(labels.shape[:-1] + (1,))
+    return np.bincount((labels + offsets).ravel(), minlength=labels.size).reshape(labels.shape)
 
 
 def decide(axiom: Proposition, theorem: Proposition) -> Decidability:

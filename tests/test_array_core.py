@@ -4,10 +4,10 @@ The quantum route builds each basis as one matrix B_a and measures with one
 product |B_m^dagger psi|^2; the logic route counts over the int arrays of a
 group. Each is compared here with the element-by-element computation it
 replaced, written out in full. partition_array, one broadcast, is compared
-with the table built cell by cell. cross_validate, which measures with one
-B_m per basis, counts each cell once and classifies an axiom's d+1 cells in
-one array pass, is compared with the per-cell path through the public
-functions.
+with the table built cell by cell. cross_validate, which measures the stack
+of all states with one born() call per basis, counts every cell in one
+bincount and classifies all cells in one array pass, is compared with the
+per-cell path through the public functions.
 """
 
 import math
@@ -159,20 +159,20 @@ def test_cross_validate_cells_equal_per_cell_reference(d, tol):
 @pytest.mark.parametrize("d", [2, 5])
 def test_cross_validate_flags_a_wrong_forecast_like_the_reference(d, monkeypatch):
     # a broken logic route: at m = 0 every count moves to the next outcome,
-    # in label_counts (read by the reference) and in the per-axiom matrix
-    # (read by cross_validate) alike
-    counts, matrix = logic.label_counts, logic.label_count_matrix
+    # in label_counts (read by the reference) and in the table (read by
+    # cross_validate) alike
+    counts, table = logic.label_counts, logic.label_count_table
 
-    def rolled_matrix(axiom):
-        rows = matrix(axiom)
-        rows[0] = np.roll(rows[0], 1)
+    def rolled_table(dim):
+        rows = table(dim)
+        rows[:, :, 0] = np.roll(rows[:, :, 0], 1, axis=-1)
         return rows
 
     for module in (logic, reference):
         monkeypatch.setattr(
             module, "label_counts", lambda axiom, m: np.roll(counts(axiom, m), 1 if m == 0 else 0)
         )
-    monkeypatch.setattr(experiment, "label_count_matrix", rolled_matrix)
+    monkeypatch.setattr(experiment, "label_count_table", rolled_table)
     report = cross_validate(Dimension(d))
     assert report.disagreements == d
     assert_cells_equal_per_cell_reference(Dimension(d), 1e-9)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from mublogic.devices import (
     TRIAL_BLOCK,
     born,
-    measurement,
     outcomes,
     prepare,
     trial_uniforms,
@@ -188,17 +187,37 @@ def assert_distribution_invariants(probs, d):
     assert abs(float(probs.sum()) - 1.0) <= 1e-12
 
 
+def prepared_states(dim):
+    """prepare() of every axiom {a, b}, in the order a, b."""
+    return [prepare(Proposition(a, b, dim)) for a in range(dim.d + 1) for b in range(dim.d)]
+
+
 @pytest.mark.parametrize("d", PRIMES_TO_31)
 def test_states_and_distributions_are_unit_arrays(d):
-    # measurement(dim, m) is what born() runs; built once per m here
+    # born() measures the whole stack of states in one call per m
+    states = prepared_states(Dimension(d))
+    for state in states:
+        assert_state_invariants(state, d)
+    stack = np.stack(states)
+    for m in range(d + 1):
+        for probs in born(stack, m):
+            assert_distribution_invariants(probs, d)
+
+
+@pytest.mark.parametrize("d", PRIMES_TO_31 + [53, 97, 1009])
+def test_born_measures_each_state_of_a_stack_as_if_alone(d):
+    # every cell up to d = 31, a few beyond
     dim = Dimension(d)
-    measure = [measurement(dim, m) for m in range(d + 1)]
-    for a in range(d + 1):
-        for b in range(d):
-            state = prepare(Proposition(a, b, dim))
-            assert_state_invariants(state, d)
-            for m in range(d + 1):
-                assert_distribution_invariants(measure[m](state), d)
+    if d <= 31:
+        states, settings = prepared_states(dim), range(d + 1)
+    else:
+        states = [prepare(Proposition(a, b, dim)) for a, b in ((0, 1), (d // 2, d - 1), (d, 1))]
+        settings = (0, 1, d // 2, d)
+    stack = np.stack(states)
+    for m in settings:
+        measured = born(stack, m)
+        for i, state in enumerate(stack):
+            assert measured[i].tobytes() == born(state, m).tobytes(), (m, i)
 
 
 @pytest.mark.parametrize("d", [53, 97, 1009])
@@ -223,18 +242,17 @@ BORN_SHA256 = {
 
 @pytest.mark.parametrize("d", sorted(BORN_SHA256))
 def test_born_bits_are_pinned(d):
-    # born() builds its measurement on every call, too slow for the 154 548
-    # cells at d = 53: there each measurement(dim, m), which born() runs, is
-    # built once. d = 11 goes through born() itself.
-    dim = Dimension(d)
-    measure = [measurement(dim, m) for m in range(d + 1)]
-    read = born if d == 11 else lambda state, m: measure[m](state)
+    # d = 11 measures each state alone; d = 53 measures the stack of all
+    # states in one born() call per m
+    states = prepared_states(Dimension(d))
     digest = hashlib.sha256()
-    for a in range(d + 1):
-        for b in range(d):
-            state = prepare(Proposition(a, b, dim))
+    if d == 11:
+        for state in states:
             for m in range(d + 1):
-                digest.update(read(state, m).tobytes())
+                digest.update(born(state, m).tobytes())
+    else:
+        stack = np.stack(states)
+        digest.update(np.stack([born(stack, m) for m in range(d + 1)], axis=1).tobytes())
     assert digest.hexdigest() == BORN_SHA256[d]
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mublogic import devices, mub
+from mublogic import devices, experiment, mub
 from mublogic.experiment import (
     ALPHA,
     CHI2_CRITICAL_001,
@@ -144,14 +144,11 @@ def test_cross_validate_cell_detail():
 def test_cross_validate_flags_routes_that_agree_on_the_wrong_outcome(monkeypatch):
     # both routes read axiom {a, b + 1} in place of {a, b}: they agree with
     # each other, but the m = a cell is not deterministic at n = b
-    from mublogic import experiment
-
     d = 5
-    column, matrix = experiment._column, experiment.label_count_matrix
+    column, table = experiment._column, experiment.label_count_table
     monkeypatch.setattr(experiment, "_column", lambda n, m, d: column((n + 1) % d, m, d))
     monkeypatch.setattr(
-        experiment, "label_count_matrix",
-        lambda axiom: matrix(Proposition(axiom.a, (axiom.b + 1) % d, axiom.dim)),
+        experiment, "label_count_table", lambda dim: np.roll(table(dim), -1, axis=1)
     )
     report = cross_validate(Dimension(d))
     wrong = [(a, b, m, p, o) for a, b, m, p, o, agree, _ in cells(report) if not agree]
@@ -178,8 +175,25 @@ def test_cross_validate_builds_each_basis_twice_and_no_single_state(monkeypatch,
     def no_state(*args):
         raise AssertionError("basis_state called")
 
+    # and d+1 born() calls, each on the stack of every state, with no
+    # Proposition built
+    born_calls, propositions = [], []
+    born, post_init = experiment.born, Proposition.__post_init__
+
+    def counting_born(states, m):
+        born_calls.append((states.shape, m))
+        return born(states, m)
+
+    def counting_post_init(self):
+        propositions.append(self)
+        post_init(self)
+
     monkeypatch.setattr(mub, "_columns", counting)
     monkeypatch.setattr(mub, "basis_state", no_state)
     monkeypatch.setattr(devices, "basis_state", no_state)
+    monkeypatch.setattr(experiment, "born", counting_born)
+    monkeypatch.setattr(Proposition, "__post_init__", counting_post_init)
     cross_validate(Dimension(d))
     assert widths == [d] * (2 * (d + 1))
+    assert born_calls == [((d + 1, d, d), m) for m in range(d + 1)]
+    assert propositions == []

@@ -9,7 +9,7 @@ import itertools
 import numpy as np
 import pytest
 
-from mublogic.logic import Decidability, Proposition, decide, label_count_matrix, label_counts
+from mublogic.logic import Decidability, Proposition, decide, label_count_table, label_counts
 from mublogic.modmath import Dimension, DimensionMismatch, is_prime
 from reference import (
     BinaryFunction,
@@ -211,11 +211,13 @@ def test_functions_and_propositions_of_different_dimensions_do_not_mix():
 
 
 @pytest.mark.parametrize("d", [p for p in range(2, 32) if is_prime(p)])
-def test_label_count_matrix_stacks_label_counts(d):
+def test_label_count_table_stacks_label_counts(d):
     dim = Dimension(d)
+    table = label_count_table(dim)
+    assert table.shape == (d + 1, d, d + 1, d)
     for a in range(d + 1):
         for b in range(d):
             axiom = Proposition(a, b, dim)
-            matrix = label_count_matrix(axiom)
             stacked = np.stack([label_counts(axiom, m) for m in range(d + 1)])
-            assert matrix.dtype == stacked.dtype and np.array_equal(matrix, stacked), (a, b)
+            cells = table[a, b]
+            assert cells.dtype == stacked.dtype and np.array_equal(cells, stacked), (a, b)
