@@ -26,6 +26,8 @@ def main() -> int:
 
     try:
         ds = [int(tok) for tok in args.dims.split(",") if tok.strip()]
+        if not ds:
+            raise ValueError("--dims names no dimension")
         for d in ds:
             check_budget("cross-validate", d)
         dims = [Dimension(d) for d in ds]

@@ -257,8 +257,8 @@ def parse_tolerance(text: str) -> float:
 
 
 # every command's options after the shared --d and --format: name ->
-# (help, [(flag, add_argument keywords), ...]); both parser forms and
-# _read_well_formed read it, so the keywords stay within what that reader
+# (help, [(flag, add_argument keywords), ...]); the parser, _read_well_formed
+# and _parameters read it, so the keywords stay within what that reader
 # understands: type, required, default, choices, help and metavar
 _SHARED = [
     ("--d", dict(type=int, required=True, help="prime dimension")),
@@ -287,26 +287,15 @@ COMMANDS = {
 }
 
 
-def _add_options(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
-    for flag, keywords in _SHARED + COMMANDS[command][1]:
-        parser.add_argument(flag, **keywords)
-    return parser
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of one command, or with none the full parser.
-
-    A command's parser stands alone: it parses the arguments after the
-    command name, with the prog, options and messages of that command's
-    subparser in the full one. The full parser (the top level and every
-    subparser) is for argv that does not start with a command name.
-    """
-    if command is not None:
-        return _add_options(_Parser(prog=f"mublogic {command}"), command)
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser, the top level and a subparser per command, for the
+    argv that _read_well_formed declines."""
     parser = _Parser(prog="mublogic", description=__doc__.splitlines()[0])
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _) in COMMANDS.items():
-        _add_options(subparsers.add_parser(name, help=help_text), name)
+    for name, (help_text, options) in COMMANDS.items():
+        subparser = subparsers.add_parser(name, help=help_text)
+        for flag, keywords in _SHARED + options:
+            subparser.add_argument(flag, **keywords)
     return parser
 
 
@@ -339,38 +328,35 @@ def _read_well_formed(command: str, tail: list[str]) -> argparse.Namespace | Non
 
 
 def _parse_argv(argv: list[str]) -> argparse.Namespace:
-    """argv parsed as the full parser would, building only the parser it needs.
+    """argv parsed as the full parser would, building no parser when it need not.
 
-    After a command name, a well-formed tail is read straight from COMMANDS
-    with no parser built; any other tail (a usage error, help, an abbreviated
-    or joined option, a repeated one, "--") goes to the command's own parser.
-    Without a command name argv goes to the full parser.
+    A command name followed by a well-formed tail is read straight from
+    COMMANDS. Every other argv (a usage error, help, an abbreviated, joined
+    or repeated option, "--", no command name) goes to the full parser.
     """
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    if command is None:
-        return build_parser().parse_args(argv)
-    args = _read_well_formed(command, argv[1:])
-    if args is None:
-        args = build_parser(command).parse_args(argv[1:])
-    args.command = command
-    return args
+    if argv and argv[0] in COMMANDS:
+        args = _read_well_formed(argv[0], argv[1:])
+        if args is not None:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _parameters(args: argparse.Namespace) -> dict:
-    params: dict = {"d": args.d}
-    for name in ("axiom", "theorem"):
-        value = getattr(args, name, None)
-        if value is not None:
-            params[name] = list(value)
-    for name in ("measure", "trials", "seed", "tol"):
-        value = getattr(args, name, None)
-        if value is not None:
-            params[name] = value
+    """The envelope's parameters: every option of the command but --format,
+    in COMMANDS order, a pair as a list."""
+    params = {}
+    for flag, _ in _SHARED + COMMANDS[args.command][1]:
+        name = flag[2:]
+        if name != "format":
+            value = getattr(args, name)
+            params[name] = list(value) if isinstance(value, tuple) else value
     return params
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (payload, failure_message, text)
+# command handlers: each takes the parsed args and the Dimension of --d and
+# returns (payload, failure_message, text)
 
 
 def check_budget(command: str, d: int, trials: int | None = None) -> None:
@@ -380,16 +366,14 @@ def check_budget(command: str, d: int, trials: int | None = None) -> None:
             raise ValueError(f"{command} is limited to {name} <= {limit}, got {name} = {value}")
 
 
-def _cmd_table(args):
-    dim = Dimension(args.d)
+def _cmd_table(args, dim):
     if args.format == "text":
         return None, None, render_table_text(dim)
     labels = [relation_label(a, dim.d) for a in range(dim.d + 1)]
     return {"d": dim.d, "labels": labels, "cells": table_json(dim)}, None, ""
 
 
-def _cmd_verify_mub(args):
-    dim = Dimension(args.d)
+def _cmd_verify_mub(args, dim):
     report = verify(dim, args.tol)
     failure = None if report.passed else (
         f"MUB verification failed: max deviation {report.max_deviation:.3e} "
@@ -408,8 +392,7 @@ def _cmd_verify_mub(args):
     return None, failure, "\n".join(lines) + "\n"
 
 
-def _cmd_decide(args):
-    dim = Dimension(args.d)
+def _cmd_decide(args, dim):
     axiom = Proposition(args.axiom[0], args.axiom[1], dim)
     theorem = Proposition(args.theorem[0], args.theorem[1], dim)
     verdict = decide(axiom, theorem)
@@ -426,8 +409,7 @@ def _cmd_decide(args):
     return payload, None, text
 
 
-def _cmd_probs(args):
-    dim = Dimension(args.d)
+def _cmd_probs(args, dim):
     axiom = Proposition(args.axiom[0], args.axiom[1], dim)
     probabilities = born(prepare(axiom), args.measure)
     if args.format == "machine":
@@ -446,8 +428,7 @@ def _cmd_probs(args):
     return None, None, "\n".join(lines) + "\n"
 
 
-def _cmd_run(args):
-    dim = Dimension(args.d)
+def _cmd_run(args, dim):
     axiom = Proposition(args.axiom[0], args.axiom[1], dim)
     counts = run(axiom, args.measure, args.trials, args.seed)
     # without a valid chi-square test the counts are still reported, just
@@ -481,8 +462,7 @@ def _cmd_run(args):
     return None, None, "\n".join(lines) + "\n"
 
 
-def _cmd_cross_validate(args):
-    dim = Dimension(args.d)
+def _cmd_cross_validate(args, dim):
     report = cross_validate(dim, args.tol)
     failure = None if report.all_agree else (
         f"cross-validation found {report.disagreements} disagreeing cells"
@@ -510,7 +490,7 @@ _HANDLERS = {
 }
 
 
-def _envelope(command: str, parameters: dict, status: str, payload, error_message=None) -> dict:
+def _envelope(command: str, parameters: dict, status: str, payload, error_message) -> dict:
     env = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -533,20 +513,17 @@ def main(argv=None) -> int:
     parameters = _parameters(args)
     try:
         check_budget(args.command, args.d, getattr(args, "trials", None))
-        payload, failure, text = _HANDLERS[args.command](args)
+        payload, failure, text = _HANDLERS[args.command](args, Dimension(args.d))
+        code = 0 if failure is None else 2
         if args.format == "machine":  # rendered in the try: a non-finite float is an input error
             status = "ok" if failure is None else "error"
-            text = to_json(_envelope(args.command, parameters, status, payload, failure))
+            text = to_json(_envelope(args.command, parameters, status, payload, failure)) + "\n"
     except ValueError as exc:
-        envelope = _envelope(args.command, parameters, "error", None, str(exc))
+        code, text = 1, f"error: {exc}\n"
         if args.format == "machine":
-            print(to_json(envelope))
-        else:
-            print(f"error: {exc}")
-        return 1
-
-    _write(text + "\n" if args.format == "machine" else text)
-    return 0 if failure is None else 2
+            text = to_json(_envelope(args.command, parameters, "error", None, str(exc))) + "\n"
+    _write(text)
+    return code
 
 
 def _write(text: str) -> None:

@@ -1,5 +1,6 @@
 """CLI surface: golden table, envelopes, exit codes, schema conformance."""
 
+import argparse
 import contextlib
 import hashlib
 import importlib.util
@@ -694,6 +695,31 @@ def test_closed_stdout_exits_1_without_traceback():
         assert (code, stderr) == (1, ""), unbuffered
 
 
+class SevenByteWrites(io.RawIOBase):
+    """A raw stdout that takes at most 7 bytes per write, as a pipe may."""
+
+    def __init__(self):
+        self.data = bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, chunk):
+        self.data += bytes(chunk[:7])
+        return min(len(chunk), 7)
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+@pytest.mark.parametrize("d", ["3", "4"], ids=["success", "error"])
+def test_partial_writes_deliver_the_whole_envelope(capsys, monkeypatch, d, fmt):
+    argv = ["table", "--d", d, "--format", fmt]
+    code, expected = invoke(capsys, *argv)
+    raw = SevenByteWrites()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8", write_through=True))
+    assert main(argv) == code
+    assert raw.data.decode() == expected
+
+
 def one_disagreeing_report(dim, tol=1e-9):
     """A cross-validation report whose only disagreeing cell is axiom {1, 2},
     m = 0: predicted uniform, observed mixed. Every other cell agrees."""
@@ -718,10 +744,9 @@ def test_cross_validate_text_names_each_disagreeing_cell(capsys, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# argument parsing: argv that starts with a command name is read straight
-# from COMMANDS when well formed, else parsed by that command's parser alone;
-# the full parser (top level plus every subparser) is the reference both
-# must match
+# argument parsing: a command name followed by a well-formed tail is read
+# straight from COMMANDS; every other argv goes to the full parser (top level
+# plus every subparser), which is the reference the reader must match
 
 
 def parse_outcome(parse, argv):
@@ -883,12 +908,9 @@ def constructed_parsers(monkeypatch, argv) -> list:
 
 
 @pytest.mark.parametrize("command", sorted(BUDGET_ARGS))
-def test_a_command_builds_only_its_own_parser(monkeypatch, command):
+def test_a_well_formed_command_builds_no_parser(monkeypatch, command):
     well_formed = [command, *BUDGET_ARGS[command], "--d", "2"]
     assert constructed_parsers(monkeypatch, well_formed) == []
-    for tail in (["--d", "x"], ["--help"]):
-        progs = constructed_parsers(monkeypatch, [command, *tail])
-        assert progs == [f"mublogic {command}"]
 
 
 def test_the_reader_reads_every_op_and_golden_argv_as_the_full_parser(monkeypatch):
@@ -899,7 +921,7 @@ def test_the_reader_reads_every_op_and_golden_argv_as_the_full_parser(monkeypatc
              for argv in ops.generate(workload, seed)]
     full = cli.build_parser()
     # main parses and checks budgets, but runs no command
-    monkeypatch.setattr(cli, "_HANDLERS", dict.fromkeys(cli.COMMANDS, lambda args: (None, None, "")))
+    monkeypatch.setattr(cli, "_HANDLERS", dict.fromkeys(cli.COMMANDS, lambda args, dim: (None, None, "")))
     for argv in argvs + golden_argvs():
         args = cli._read_well_formed(argv[0], argv[1:])
         assert args is not None, argv
@@ -931,8 +953,10 @@ def test_the_reader_declines_other_argv_and_argparse_decides(argv):
 
 
 def test_options_use_only_the_keywords_the_reader_understands():
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
     for command, (_, options) in cli.COMMANDS.items():
-        parser = cli.build_parser(command)
+        parser = subparsers.choices[command]
         for flag, keywords in cli._SHARED + options:
             assert keywords.keys() <= {"type", "required", "default", "choices", "help", "metavar"}
             # argparse passes a string default through the type; the reader does not
@@ -945,7 +969,7 @@ def test_reading_a_well_formed_run_argv_at_least_5x_faster_than_its_parser():
             "--seed", "5", "--format", "machine"]
     parses = {
         "reader": lambda: cli._parse_argv(argv),
-        "parser": lambda: cli.build_parser("run").parse_args(argv[1:]),
+        "parser": lambda: cli.build_parser().parse_args(argv),
     }
     best = dict.fromkeys(parses, math.inf)
     for _ in range(5):  # interleaved, so a slow stretch of the host hits both
@@ -954,8 +978,11 @@ def test_reading_a_well_formed_run_argv_at_least_5x_faster_than_its_parser():
     assert 5 * best["reader"] <= best["parser"]
 
 
-@pytest.mark.parametrize("argv", [[], ["--help"], ["nope"], ["--d", "3", "table"]], ids=str)
-def test_argv_without_a_command_builds_the_full_parser(monkeypatch, argv):
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["nope"], ["--d", "3", "table"],
+    *([command, *tail] for command in sorted(BUDGET_ARGS) for tail in (["--d", "x"], ["--help"])),
+], ids=str)
+def test_argv_the_reader_declines_builds_the_full_parser(monkeypatch, argv):
     progs = constructed_parsers(monkeypatch, argv)
     assert progs == ["mublogic", *(f"mublogic {name}" for name in cli.COMMANDS)]
 

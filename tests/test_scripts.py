@@ -76,6 +76,7 @@ def test_cross_validate_sweep_small_primes_agree():
     ("uniformity_sweep.py", ["--trials", "10"], "needs at least 15 trials for a verdict"),
     ("cross_validate_sweep.py", ["--dims", "4"], "d must be prime"),
     ("cross_validate_sweep.py", ["--dims", "37"], "cross-validate is limited to d <= 31, got d = 37"),
+    ("cross_validate_sweep.py", ["--dims", ""], "--dims names no dimension"),
     ("cross_validate_sweep.py", ["--tol", "nan"], "argument --tol: tolerance must be finite and > 0"),
     ("uniformity_sweep.py", ["--d", "1010"], "run is limited to d <= 1009, got d = 1010"),
     ("uniformity_sweep.py", ["--d", str(2**61 - 1)], f"run is limited to d <= 1009, got d = {2**61 - 1}"),
