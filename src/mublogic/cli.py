@@ -2,10 +2,11 @@
 
 Every invocation emits exactly one envelope on standard output. In machine
 format the envelope is a single-line JSON document with floats rendered to
-17 significant digits (enough to round-trip any double), table groups joined
-from the d**2 pair strings "[f0, f1]", cross-validation cells filled into
-one template and Born probabilities into another; in text format it is a
-human-readable rendering of the same.
+17 significant digits (enough to round-trip any double), table rows joined
+from rotations of the d lists of pair strings "[f0, f1]", cross-validation
+cells joined from pieces rendered once per distinct value, Born
+probabilities filled into one template, and the whole envelope joined once;
+in text format it is a human-readable rendering of the same.
 
 Exit codes: 0 success, 1 usage or input error (a non-finite float in a
 machine envelope among them), 2 validation failure (a verification command
@@ -16,17 +17,17 @@ from __future__ import annotations
 
 import argparse
 import io
-import itertools
 import json
 import math
 import os
 import sys
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .experiment import ALPHA, CrossReport, ValidityError, chi_square_uniform, cross_validate, run
 from .devices import SEED_BOUND, born, prepare
-from .logic import Proposition, decide, partition_array
+from .logic import Proposition, decide
 from .modmath import Dimension
 from .mub import MubReport, verify
 
@@ -61,29 +62,50 @@ class Fragment(str):
 
 
 def to_json(value) -> str:
-    """Render a plain-python document as JSON with 17-significant-digit floats.
+    """Render a plain-python document as JSON with 17-significant-digit floats,
+    in one join of the pieces _pieces lists.
 
     A Fragment is emitted as it is. Strings are quoted by the function
     json.dumps uses for them.
     """
+    return "".join(_pieces(value, []))
+
+
+def _pieces(value, out: list) -> list:
+    """Append the JSON text of value to out, piece by piece; return out.
+
+    A Fragment is appended itself, so the one join in to_json is the only
+    copy of its text.
+    """
     if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
+        out.append("null")
+    elif isinstance(value, bool):
+        out.append("true" if value else "false")
+    elif isinstance(value, int):
+        out.append(str(value))
+    elif isinstance(value, float):
         if math.isnan(value) or math.isinf(value):
             raise ValueError("only finite numbers are serializable")
-        return format(value, ".17g")
-    if isinstance(value, str):
-        return value if isinstance(value, Fragment) else _quote(value)
-    if isinstance(value, dict):
-        items = ", ".join(f"{_quote(str(k))}: {to_json(v)}" for k, v in value.items())
-        return "{" + items + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(to_json(v) for v in value) + "]"
-    raise TypeError(f"unserializable value: {value!r}")
+        out.append(format(value, ".17g"))
+    elif isinstance(value, str):
+        out.append(value if isinstance(value, Fragment) else _quote(value))
+    elif isinstance(value, dict):
+        separator = "{"
+        for key, item in value.items():
+            out += (separator, _quote(str(key)), ": ")
+            _pieces(item, out)
+            separator = ", "
+        out.append("}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        separator = "["
+        for item in value:
+            out.append(separator)
+            _pieces(item, out)
+            separator = ", "
+        out.append("]" if value else "[]")
+    else:
+        raise TypeError(f"unserializable value: {value!r}")
+    return out
 
 
 def floats_json(values: np.ndarray) -> Fragment:
@@ -134,23 +156,35 @@ def disagreement_line(report: CrossReport, index: int) -> str:
 
 
 def _cross_report_doc(report: CrossReport) -> dict:
-    """The cross-validate payload, its cells filled into one template in a, b, m
-    order with the .17g floats of to_json, which rejects a non-finite maximum."""
+    """The cross-validate payload, its cells in a, b, m order joined once from
+    four pieces per cell, each rendered once per distinct value: the axiom,
+    the measure with the predicted doc, the observed doc with "agree", and
+    the .17g deviation (told apart by bit pattern, so -0.0 stays "-0").
+    The maximum goes through to_json, which rejects a non-finite one."""
     d = report.dim.d
     docs = [to_json({"kind": _behavior_kind(code, d), "outcome": code if code < d else None})
             for code in range(d + 2)]
-    index = itertools.product(range(d + 1), range(d), range(d + 1))
-    columns = (report.predicted, report.observed, report.agree, report.deviation)
-    cells = ", ".join(
-        f'{{"axiom": [{a}, {b}], "measure": {m}, "predicted": {docs[p]}, '
-        f'"observed": {docs[o]}, "agree": {"true" if ok else "false"}, '
-        f'"born_vs_counting_deviation": {dev:.17g}}}'
-        for (a, b, m), p, o, ok, dev in zip(index, *(c.ravel().tolist() for c in columns))
-    )
+    heads = [f'{{"axiom": [{a}, {b}], "measure": ' for a in range(d + 1) for b in range(d)]
+    forecasts = [f'{m}, "predicted": {doc}, "observed": ' for m in range(d + 1) for doc in docs]
+    verdicts = [f'{doc}, "agree": {agree}, "born_vs_counting_deviation": '
+                for doc in docs for agree in ("false", "true")]
+    bits, which = np.unique(report.deviation.view(np.uint64), return_inverse=True)
+    ends = [f"{dev:.17g}}}, " for dev in bits.view(np.float64).tolist()]
+    forecast = (d + 2) * np.arange(d + 1) + report.predicted  # [a, b, m] -> forecasts
+    verdict = 2 * report.observed + report.agree  # [a, b, m] -> verdicts
+    # piece j of cell i, flat index ((a d + b)(d + 1) + m), at 4 i + j
+    pieces = [""] * (4 * report.agree.size)
+    for m in range(d + 1):
+        pieces[4 * m::4 * (d + 1)] = heads
+    pieces[1::4] = map(forecasts.__getitem__, forecast.ravel().tolist())
+    pieces[2::4] = map(verdicts.__getitem__, verdict.ravel().tolist())
+    pieces[3::4] = map(ends.__getitem__, which.ravel().tolist())
+    pieces[0] = "[" + pieces[0]
+    pieces[-1] = pieces[-1][:-2] + "]"
     return {
         "d": d,
         "tol": float(report.tol),
-        "cells": Fragment(f"[{cells}]"),
+        "cells": Fragment("".join(pieces)),
         "disagreements": report.disagreements,
         "max_born_vs_counting_deviation": report.max_born_vs_counting_deviation,
     }
@@ -170,6 +204,21 @@ def relation_label(a: int, d: int) -> str:
     return f"f(1) = {a} f(0) + b"
 
 
+def _rows(tokens: list[list[str]]) -> Iterator[Iterable[Sequence[str]]]:
+    """Row by row of the partition table, each group {a, b} as its members'
+    tokens, taken from tokens[f0][f1].
+
+    Member k of group {a, b}, a < d, is (k, a k + b), so across b the k-th
+    members of row a are tokens[k] rotated by a k mod d; group {d, b} of
+    the value-pin row is tokens[b].
+    """
+    d = len(tokens)
+    doubled = [row + row for row in tokens]
+    for a in range(d):
+        yield zip(*[row[a * k % d:][:d] for k, row in enumerate(doubled)])
+    yield tokens
+
+
 def render_table_text(dim: Dimension) -> str:
     """Fixed-layout text table; each cell lists its pairs f(0)f(1)."""
     d = dim.d
@@ -178,7 +227,6 @@ def render_table_text(dim: Dimension) -> str:
             f"text table rendering is defined for d <= {MAX_TEXT_TABLE_D}; "
             "use --format machine"
         )
-    table = partition_array(dim)
     labels = [relation_label(a, d) for a in range(d + 1)]
     label_width = max(len(label) for label in labels)
     cell_width = 3 * d - 1
@@ -187,22 +235,24 @@ def render_table_text(dim: Dimension) -> str:
     prefix_width = len(f"a={d}  ") + label_width + len(" : ")
     header_cells = "   ".join(f"b={b}".ljust(cell_width) for b in range(d))
     lines.append((" " * prefix_width + header_cells).rstrip())
-    for a in range(d + 1):
-        cells = " | ".join(
-            " ".join(f"{f0}{f1}" for f0, f1 in table[a, b])
-            for b in range(d)
-        )
+    pairs = [[f"{f0}{f1}" for f1 in range(d)] for f0 in range(d)]
+    for a, row in enumerate(_rows(pairs)):
+        cells = " | ".join(map(" ".join, row))
         lines.append(f"a={a}  {labels[a].ljust(label_width)} : {cells}")
     return "\n".join(lines) + "\n"
 
 
 def table_json(dim: Dimension) -> Fragment:
-    """partition_array(dim) as JSON: the bytes of json.dumps(table.tolist())."""
-    d, table = dim.d, partition_array(dim)
-    pairs = [f"[{f0}, {f1}]" for f0 in range(d) for f1 in range(d)]
-    rows = (", ".join(f"[{', '.join(map(pairs.__getitem__, group))}]" for group in row)
-            for row in (table[..., 0] * d + table[..., 1]).tolist())
-    return Fragment("[" + ", ".join(f"[{row}]" for row in rows) + "]")
+    """The partition table as JSON, the bytes of
+    json.dumps(partition_array(dim).tolist()): each row joined from the
+    rotated "[f0, f1]" pair strings of _rows, the rows joined once."""
+    d = dim.d
+    pairs = [[f"[{f0}, {f1}]" for f1 in range(d)] for f0 in range(d)]
+    pieces = ["[[["]
+    for row in _rows(pairs):
+        pieces += ("], [".join(map(", ".join, row)), "]], [[")
+    pieces[-1] = "]]]"
+    return Fragment("".join(pieces))
 
 
 # ---------------------------------------------------------------------------

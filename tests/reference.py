@@ -3,8 +3,9 @@
 Each works element by element: roots of unity and the generalized Pauli
 pair one entry at a time, the functions {0,1} -> Z_d as BinaryFunction
 objects, the paper's encoding U = X^f(0) Z^f(1) applied to |0>_a, one
-generator and one inverse-CDF draw per trial, and each cross-validation
-cell classified on its own.
+generator and one inverse-CDF draw per trial, each cross-validation cell
+classified on its own, and the JSON serializer that renders every node of
+a document as a string of its own.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from mublogic.cli import Fragment, _quote
 from mublogic.devices import _MASK64, TRIAL_SEED_MIX
 from mublogic.experiment import CrossReport, _behavior_codes
 from mublogic.logic import (
@@ -238,3 +240,33 @@ def cells(report: CrossReport) -> tuple[tuple, ...]:
          bool(report.agree[a, b, m]), float(report.deviation[a, b, m]))
         for a in range(d + 1) for b in range(d) for m in range(d + 1)
     )
+
+
+# ---------------------------------------------------------------------------
+# the serializer, one string per node
+
+
+def to_json(value) -> str:
+    """Render a plain-python document as JSON with 17-significant-digit floats.
+
+    A Fragment is emitted as it is. Strings are quoted by the function
+    json.dumps uses for them.
+    """
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        if math.isnan(value) or math.isinf(value):
+            raise ValueError("only finite numbers are serializable")
+        return format(value, ".17g")
+    if isinstance(value, str):
+        return value if isinstance(value, Fragment) else _quote(value)
+    if isinstance(value, dict):
+        items = ", ".join(f"{_quote(str(k))}: {to_json(v)}" for k, v in value.items())
+        return "{" + items + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(to_json(v) for v in value) + "]"
+    raise TypeError(f"unserializable value: {value!r}")

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import importlib.util
 import io
@@ -11,6 +12,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,7 @@ from mublogic.experiment import CrossReport, cross_validate
 from mublogic.logic import partition_array
 from mublogic.modmath import Dimension, is_prime
 from reference import cells
+from reference import to_json as reference_to_json
 from test_golden import golden_argvs
 
 REPO = Path(__file__).resolve().parents[1]
@@ -62,6 +65,14 @@ def test_table_d3_row_contents(capsys):
     _, out = invoke(capsys, "table", "--d", "3")
     assert "00 12 21 | 01 10 22 | 02 11 20" in out
     assert "00 11 22 | 01 12 20 | 02 10 21" in out
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_text_table_cells_are_the_groups_of_partition_array(capsys, d):
+    _, out = invoke(capsys, "table", "--d", str(d))
+    rows = [line.split(" : ", 1)[1].split(" | ") for line in out.splitlines()[3:]]
+    assert rows == [[" ".join(f"{f0}{f1}" for f0, f1 in group) for group in row]
+                    for row in partition_array(Dimension(d)).tolist()]
 
 
 def test_table_machine_payload(capsys):
@@ -470,6 +481,46 @@ def test_to_json_rejects_ndarrays(array):
         to_json(array)
 
 
+# documents from every kind of value to_json takes; text with lone surrogates
+# among it, floats finite with -0.0 among them, ints unbounded
+TEXT = st.text(st.one_of(st.characters(), st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF)))
+PLAIN_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), TEXT)
+FLOATS = st.one_of(st.just(-0.0), st.floats(allow_nan=False, allow_infinity=False))
+UNSERIALIZABLE = st.sampled_from(
+    [math.nan, math.inf, -math.inf, np.array([0.5]), np.arange(3), object(), {1}, 1j, b"x", np.int64(1)]
+)
+
+
+def documents(leaves):
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(TEXT, inner, max_size=4),
+    ), max_leaves=20)
+
+
+@given(documents(st.one_of(PLAIN_LEAVES, FLOATS, TEXT.map(Fragment))))
+def test_to_json_equals_the_reference_serializer(document):
+    assert to_json(document) == reference_to_json(document)
+
+
+@given(documents(PLAIN_LEAVES))
+def test_to_json_equals_json_dumps_without_floats_or_fragments(document):
+    assert to_json(document) == reference_to_json(document) == json.dumps(document)
+
+
+def rendered_or_raised(render, document):
+    try:
+        return render(document)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+@given(documents(st.one_of(PLAIN_LEAVES, FLOATS, UNSERIALIZABLE)))
+def test_to_json_raises_as_the_reference_serializer(document):
+    assert rendered_or_raised(to_json, document) == rendered_or_raised(reference_to_json, document)
+
+
 def best_of(render, repeats=5):
     times = []
     for _ in range(repeats):
@@ -514,12 +565,37 @@ def reference_cross_report_doc(report, cells):
     }
 
 
+def distinct_deviations(shape):
+    """A deviation of its own in every cell, over many magnitudes."""
+    rng = np.random.default_rng(0)
+    return rng.random(shape) * 10.0 ** rng.integers(-20, 1, shape)
+
+
+def signed_zero_deviations(shape):
+    """0.0 and -0.0 in turn, with one other value: a value-keyed rendering
+    would print both zeros alike."""
+    deviation = np.where(np.arange(np.prod(shape)).reshape(shape) % 2, 0.0, -0.0)
+    deviation.flat[5] = 1e-16
+    return deviation
+
+
 @pytest.mark.parametrize(
-    "d, tol", [(p, 1e-9) for p in range(2, 32) if is_prime(p)] + [(11, 1e-20)]
+    "d, tol, deviations",
+    [pytest.param(p, 1e-9, None, id=f"{p}-1e-09") for p in range(2, 32) if is_prime(p)]
+    + [pytest.param(11, 1e-20, None, id="11-1e-20")]
+    + [pytest.param(d, 1e-9, deviations, id=f"{d}-{deviations.__name__}")
+       for d in (3, 11) for deviations in (distinct_deviations, signed_zero_deviations)]
 )
-def test_cross_report_template_equals_per_cell_dicts(d, tol):
+def test_cross_report_template_equals_per_cell_dicts(d, tol, deviations):
     report = cross_validate(Dimension(d), tol)
-    assert to_json(_cross_report_doc(report)) == to_json(reference_cross_report_doc(report, cells(report)))
+    if deviations is not None:
+        report = dataclasses.replace(report, deviation=deviations(report.deviation.shape))
+        bits = report.deviation.view(np.uint64)
+        assert len(np.unique(bits)) == (bits.size if deviations is distinct_deviations else 3)
+    rendered = to_json(_cross_report_doc(report))
+    assert rendered == to_json(reference_cross_report_doc(report, cells(report)))
+    if deviations is signed_zero_deviations:
+        assert rendered.count('"born_vs_counting_deviation": -0}') == report.agree.size // 2
     if tol == 1e-20:  # every disagreeing cell is observed mixed
         assert report.disagreements == 1552
         assert {cell[4] for cell in cells(report) if not cell[5]} == {d + 1}
@@ -628,6 +704,66 @@ def test_rendered_envelope_bytes_are_pinned(argv):
     proc = subprocess.run([sys.executable, "-m", "mublogic", *argv], capture_output=True, env=env)
     assert proc.returncode == (2 if "1e-20" in argv else 0)
     assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[argv]
+
+
+# sha256 over (argv, exit code, stdout) of each benchmark op list, recorded
+# before the table rows were rendered by rotation and the cross-validate
+# cells from pre-rendered pieces; OPS_DIGEST_SCRIPT makes them
+OPS_SHA256 = {
+    "sampling": ["97f6e07750aafb56131da0d501b30379fb3ffa84bdd1642c0e7348aa19097ff2",
+                 "f9eec156d3d54a5f8a19243407fc9920148405f62eeac86a72f8a4f152fc95f2",
+                 "70f205a670f096c3f66e155424da84332f001ad1f143803e8281d0c662416a4d"],
+    "sweep": ["044cca777163c487741809148c2f0fbfe81049ca9e7c991105903e73b8b94693",
+              "dc13721ce10fa396f979385d30ae9ae5911c86d74e3ba486689de698d4262445",
+              "f81c239d82692cb49fa401be4be12620b79d9cd3f522a28aa99a9d1796a39bf5"],
+    "bases": ["572dc7f28aef051278fca192cafe04ccba1f8df9555005c8b87bcf53eb0763ce",
+              "724797ba76cd4006d8eb24343330a5a7cff10a8a9c720d9a6b3ee4e96aca3382",
+              "a97e4f46925e0251e166cf8cecd34dc8001d1baab498e273de7bb72ce8245a74"],
+}
+# argv: the path of perfbench/ops.py, which is only read, and a workload;
+# prints one digest per seed 0..2
+OPS_DIGEST_SCRIPT = """
+import contextlib, hashlib, importlib.util, io, json, sys
+from mublogic.cli import main
+spec = importlib.util.spec_from_file_location("ops", sys.argv[1])
+ops = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(ops)
+for seed in range(3):
+    digest = hashlib.sha256()
+    for argv in ops.generate(sys.argv[2], seed):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        digest.update(json.dumps([argv, code, out.getvalue()]).encode())
+    print(digest.hexdigest())
+"""
+
+
+@pytest.mark.parametrize("workload", sorted(OPS_SHA256))
+def test_benchmark_op_lists_print_the_recorded_bytes(workload):
+    # one BLAS thread, as the benchmark runs (see test_rendered_envelope_bytes_are_pinned)
+    env = module_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", OPS_DIGEST_SCRIPT, str(REPO / "perfbench" / "ops.py"), workload],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert proc.stdout.split() == OPS_SHA256[workload]
+
+
+def test_a_large_table_envelope_is_copied_few_times():
+    # the cells fragment, the envelope text and the copy the StringIO keeps
+    # make about 3x; a renderer that copies a fragment at every level of
+    # nesting, one string per node, peaked at 6.8x here
+    argv = ["table", "--d", "101", "--format", "machine"]
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * len(out.getvalue())
 
 
 def test_text_cross_validate_builds_cells_only_where_they_disagree(capsys, monkeypatch):
