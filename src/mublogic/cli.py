@@ -16,6 +16,7 @@ ran but its checks did not pass).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import math
@@ -29,7 +30,7 @@ from .experiment import ALPHA, CrossReport, ValidityError, chi_square_uniform, c
 from .devices import SEED_BOUND, born, prepare
 from .logic import Proposition, decide
 from .modmath import Dimension
-from .mub import MubReport, verify
+from .mub import verify
 
 SCHEMA_VERSION = "1.0.0"
 MAX_TEXT_TABLE_D = 7
@@ -132,18 +133,6 @@ def _uniformity_doc(statistic: float, df: int, critical: float, verdict: str) ->
     }
 
 
-def _mub_report_doc(d: int, report: MubReport) -> dict:
-    return {
-        "d": d,
-        "tol": float(report.tol),
-        "max_orthonormality_deviation": float(report.max_orthonormality_deviation),
-        "max_unbiasedness_deviation": float(report.max_unbiasedness_deviation),
-        "max_eigen_residual": float(report.max_eigen_residual),
-        "max_shift_residual": float(report.max_shift_residual),
-        "passed": report.passed,
-    }
-
-
 def disagreement_line(report: CrossReport, index: int) -> str:
     """One-line description of a cell that does not agree, at flat index
     `index` of the report's [a, b, m] arrays."""
@@ -156,7 +145,7 @@ def disagreement_line(report: CrossReport, index: int) -> str:
 
 
 def _cross_report_doc(report: CrossReport) -> dict:
-    """The cross-validate payload, its cells in a, b, m order joined once from
+    """The cross-validate results, its cells in a, b, m order joined once from
     four pieces per cell, each rendered once per distinct value: the axiom,
     the measure with the predicted doc, the observed doc with "agree", and
     the .17g deviation (told apart by bit pattern, so -0.0 stays "-0").
@@ -182,8 +171,6 @@ def _cross_report_doc(report: CrossReport) -> dict:
     pieces[0] = "[" + pieces[0]
     pieces[-1] = pieces[-1][:-2] + "]"
     return {
-        "d": d,
-        "tol": float(report.tol),
         "cells": Fragment("".join(pieces)),
         "disagreements": report.disagreements,
         "max_born_vs_counting_deviation": report.max_born_vs_counting_deviation,
@@ -406,7 +393,8 @@ def _parameters(args: argparse.Namespace) -> dict:
 
 # ---------------------------------------------------------------------------
 # command handlers: each takes the parsed args and the Dimension of --d and
-# returns (payload, failure_message, text)
+# returns (results, failure_message, text); main puts the machine results,
+# what the command computed, after the parameters in the payload
 
 
 def check_budget(command: str, d: int, trials: int | None = None) -> None:
@@ -420,7 +408,7 @@ def _cmd_table(args, dim):
     if args.format == "text":
         return None, None, render_table_text(dim)
     labels = [relation_label(a, dim.d) for a in range(dim.d + 1)]
-    return {"d": dim.d, "labels": labels, "cells": table_json(dim)}, None, ""
+    return {"labels": labels, "cells": table_json(dim)}, None, ""
 
 
 def _cmd_verify_mub(args, dim):
@@ -430,7 +418,7 @@ def _cmd_verify_mub(args, dim):
         f"exceeds tolerance {args.tol:g}"
     )
     if args.format == "machine":
-        return _mub_report_doc(dim.d, report), failure, ""
+        return dataclasses.asdict(report), failure, ""
     lines = [
         f"MUB verification for d = {dim.d} (tolerance {args.tol:g})",
         f"  max orthonormality deviation : {report.max_orthonormality_deviation:.3e}",
@@ -446,30 +434,18 @@ def _cmd_decide(args, dim):
     axiom = Proposition(args.axiom[0], args.axiom[1], dim)
     theorem = Proposition(args.theorem[0], args.theorem[1], dim)
     verdict = decide(axiom, theorem)
-    payload = {
-        "d": dim.d,
-        "axiom": list(args.axiom),
-        "theorem": list(args.theorem),
-        "decidability": verdict.value,
-    }
     text = (
         f"axiom {{{axiom.a},{axiom.b}}}, theorem "
         f"{{{theorem.a},{theorem.b}}}, d={dim.d}: {verdict.value}\n"
     )
-    return payload, None, text
+    return {"decidability": verdict.value}, None, text
 
 
 def _cmd_probs(args, dim):
     axiom = Proposition(args.axiom[0], args.axiom[1], dim)
     probabilities = born(prepare(axiom), args.measure)
     if args.format == "machine":
-        payload = {
-            "d": dim.d,
-            "axiom": list(args.axiom),
-            "measure": args.measure,
-            "probabilities": floats_json(probabilities),
-        }
-        return payload, None, ""
+        return {"probabilities": floats_json(probabilities)}, None, ""
     lines = [
         f"Born probabilities for axiom {{{axiom.a},{axiom.b}}}, "
         f"measurement m={args.measure}, d={dim.d}"
@@ -488,16 +464,8 @@ def _cmd_run(args, dim):
     except ValidityError as exc:
         uniformity, skipped = None, exc
     if args.format == "machine":
-        payload = {
-            "d": dim.d,
-            "axiom": list(args.axiom),
-            "measure": args.measure,
-            "trials": args.trials,
-            "seed": args.seed,
-            "counts": counts.tolist(),
-            "uniformity": None if uniformity is None else _uniformity_doc(*uniformity),
-        }
-        return payload, None, ""
+        doc = None if uniformity is None else _uniformity_doc(*uniformity)
+        return {"counts": counts.tolist(), "uniformity": doc}, None, ""
     lines = [
         f"counts for axiom {{{axiom.a},{axiom.b}}}, m={args.measure}, "
         f"d={dim.d}, trials={args.trials}, seed={args.seed}"
@@ -563,10 +531,11 @@ def main(argv=None) -> int:
     parameters = _parameters(args)
     try:
         check_budget(args.command, args.d, getattr(args, "trials", None))
-        payload, failure, text = _HANDLERS[args.command](args, Dimension(args.d))
+        results, failure, text = _HANDLERS[args.command](args, Dimension(args.d))
         code = 0 if failure is None else 2
         if args.format == "machine":  # rendered in the try: a non-finite float is an input error
             status = "ok" if failure is None else "error"
+            payload = {**parameters, **results}
             text = to_json(_envelope(args.command, parameters, status, payload, failure)) + "\n"
     except ValueError as exc:
         code, text = 1, f"error: {exc}\n"

@@ -22,6 +22,8 @@ encoding {a, b} report n = b with certainty when measured at m = a.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from .logic import Proposition
@@ -81,8 +83,8 @@ def outcomes(probabilities: np.ndarray, u: np.ndarray) -> np.ndarray:
 # emits 4 uint64 words, PCG64 is seeded from them with the set-seq init, and
 # one XSL-RR output becomes a double. The constants are numpy's SeedSequence
 # hash constants and the PCG64 128-bit LCG multiplier (O'Neill 2014, PCG,
-# HMC-CS-2014-0905). Trials go through in blocks of TRIAL_BLOCK, which
-# bounds the temporaries whatever the trial count.
+# HMC-CS-2014-0905). They come in blocks of TRIAL_BLOCK trials, which bounds
+# the memory of a caller that is done with each block before the next.
 TRIAL_BLOCK = 8192
 _MIX_MULT_L = np.uint32(0xCA01F9DD)
 _MIX_MULT_R = np.uint32(0x4973F715)
@@ -170,14 +172,13 @@ def _first_uniform(seeds: np.ndarray) -> np.ndarray:
     return (out >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
-def trial_uniforms(seed: int, trials: int) -> np.ndarray:
+def trial_uniforms(seed: int, trials: int) -> Iterator[np.ndarray]:
     """default_rng(seed XOR (t * TRIAL_SEED_MIX mod 2**64)).random() for
-    t = 0..trials-1, bit for bit, in one pass."""
+    t = 0..trials-1, bit for bit, as arrays of at most TRIAL_BLOCK trials in
+    trial order; trials = 0 gives none. The seed is checked on the call."""
     if not 0 <= seed < SEED_BOUND:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    out = np.empty(trials)
+    blocks = (np.arange(start, min(start + TRIAL_BLOCK, trials), dtype=np.uint64)
+              for start in range(0, trials, TRIAL_BLOCK))
     seed_word, mix_word = np.uint64(seed), np.uint64(TRIAL_SEED_MIX)
-    for start in range(0, trials, TRIAL_BLOCK):
-        t = np.arange(start, min(start + TRIAL_BLOCK, trials), dtype=np.uint64)
-        out[start:start + len(t)] = _first_uniform(seed_word ^ (t * mix_word))
-    return out
+    return (_first_uniform(seed_word ^ (t * mix_word)) for t in blocks)

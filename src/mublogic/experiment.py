@@ -49,10 +49,10 @@ def run(axiom: Proposition, m: int, trials: int, seed: int) -> np.ndarray:
 
     Each trial draws from its own derived stream, so the counts are
     independent of execution order and reproducible from (seed, trials).
-    All uniforms come from one vectorized pass (trial_uniforms, which also
-    checks the seed) and map to outcomes by inverse CDF (outcomes), so the
-    counts equal those of a scalar loop that seeds one generator per trial
-    and draws once from it, exactly.
+    The uniforms come block by block from trial_uniforms (which also checks
+    the seed), map to outcomes by inverse CDF (outcomes) and are counted one
+    bincount per block, so the counts equal those of a scalar loop that
+    seeds one generator per trial and draws once from it, exactly.
     """
     d = axiom.dim.d
     if not 0 <= m <= d:
@@ -60,7 +60,8 @@ def run(axiom: Proposition, m: int, trials: int, seed: int) -> np.ndarray:
     if trials < 1:
         raise ValueError("trials must be >= 1")
     probabilities = born(prepare(axiom), m)
-    return np.bincount(outcomes(probabilities, trial_uniforms(seed, trials)), minlength=d)
+    blocks = trial_uniforms(seed, trials)  # at least one, as trials >= 1
+    return sum(np.bincount(outcomes(probabilities, u), minlength=d) for u in blocks)
 
 
 def chi_square_uniform(counts: np.ndarray) -> tuple[float, int, float, str]:
@@ -94,7 +95,6 @@ class CrossReport:
     and each cell's max |born - counting/d|."""
 
     dim: Dimension
-    tol: float
     predicted: np.ndarray
     observed: np.ndarray
     agree: np.ndarray
@@ -140,7 +140,7 @@ def cross_validate(dim: Dimension, tol: float = 1e-9) -> CrossReport:
     deviation = np.max(np.abs(probabilities - counts / d), axis=-1)
     a, b, m = np.ogrid[: d + 1, :d, : d + 1]
     agree = (observed == predicted) & (predicted == np.where(m == a, b, d))
-    return CrossReport(dim, tol, predicted, observed, agree, deviation)
+    return CrossReport(dim, predicted, observed, agree, deviation)
 
 
 def _behavior_codes(point: np.ndarray, near_uniform: np.ndarray) -> np.ndarray:

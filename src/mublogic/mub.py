@@ -45,7 +45,6 @@ class MubReport:
     max_unbiasedness_deviation: float
     max_eigen_residual: float
     max_shift_residual: float
-    tol: float
     passed: bool
 
     @property
@@ -177,4 +176,4 @@ def verify(dim: Dimension, tol: float = 1e-10) -> MubReport:
 
     eigen, shift = math.sqrt(eigen), math.sqrt(shift)
     passed = max(ortho, unbias, eigen, shift) < tol
-    return MubReport(ortho, unbias, eigen, shift, tol, passed)
+    return MubReport(ortho, unbias, eigen, shift, passed)

@@ -544,11 +544,9 @@ def reference_behavior_doc(code, d):
 
 
 def reference_cross_report_doc(report, cells):
-    """The cross-validate payload as one dict per cell, from the report's cells."""
+    """The cross-validate results as one dict per cell, from the report's cells."""
     d = report.dim.d
     return {
-        "d": d,
-        "tol": float(report.tol),
         "cells": [
             {
                 "axiom": [a, b],
@@ -751,9 +749,11 @@ def test_benchmark_op_lists_print_the_recorded_bytes(workload):
 
 
 def test_a_large_table_envelope_is_copied_few_times():
-    # the cells fragment, the envelope text and the copy the StringIO keeps
-    # make about 3x; a renderer that copies a fragment at every level of
-    # nesting, one string per node, peaked at 6.8x here
+    # the peak, about 3.07x, is inside table_json: its rows, their join and
+    # the Fragment copy of that join. main adds nothing above it: into a
+    # stdout that keeps nothing, or with the payload released before the
+    # final newline, the peak is the same. A renderer that copies a fragment
+    # at every level of nesting, one string per node, peaked at 6.8x here
     argv = ["table", "--d", "101", "--format", "machine"]
     out = io.StringIO()
     tracemalloc.start()
@@ -764,6 +764,36 @@ def test_a_large_table_envelope_is_copied_few_times():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * len(out.getvalue())
+
+
+@pytest.mark.parametrize("command", sorted(BUDGET_ARGS))
+def test_machine_results_leave_the_parameters_to_main(capsys, command):
+    argv = [command, "--d", "3", *BUDGET_ARGS[command]]
+    args = cli._parse_argv([*argv, "--format", "machine"])
+    parameters = cli._parameters(args)
+    results, _, _ = cli._HANDLERS[command](args, Dimension(3))
+    assert results.keys().isdisjoint(parameters)
+    _, env = invoke_machine(capsys, *argv)
+    assert list(env["payload"]) == [*parameters, *results]
+
+
+# the peak resident set of `python -m mublogic <argv>`, in KiB on Linux
+RSS_SCRIPT = """
+import resource, subprocess, sys
+subprocess.run([sys.executable, "-m", "mublogic", *sys.argv[1:]], stdout=subprocess.DEVNULL, check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_run_at_the_trial_budget_peaks_below_64_mb():
+    # the uniforms are drawn and counted a block at a time; drawn all at
+    # once, with their outcomes, the run peaked at 191 MB
+    argv = ["run", "--d", "3", "--axiom", "0,0", "--measure", "1",
+            "--trials", str(MAX_TRIALS), "--seed", "7", "--format", "machine"]
+    proc = subprocess.run([sys.executable, "-c", RSS_SCRIPT, *argv],
+                          capture_output=True, text=True, env=module_env(), check=True)
+    assert int(proc.stdout) < 64 * 1024
 
 
 def test_text_cross_validate_builds_cells_only_where_they_disagree(capsys, monkeypatch):
@@ -790,7 +820,7 @@ def test_text_outputs_are_readable(capsys):
 def test_module_invocation_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "mublogic", "table", "--d", "3"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=module_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout == GOLDEN_TABLE_D3.read_text()
@@ -799,7 +829,8 @@ def test_module_invocation_smoke():
 def test_cli_module_invocation_matches_package_invocation():
     argv = ["decide", "--d", "3", "--axiom", "0,0", "--theorem", "1,0", "--format", "machine"]
     package, module = (
-        subprocess.run([sys.executable, "-m", name, *argv], capture_output=True, text=True)
+        subprocess.run([sys.executable, "-m", name, *argv], capture_output=True, text=True,
+                       env=module_env())
         for name in ("mublogic", "mublogic.cli")
     )
     assert package.stdout.startswith('{"schema_version"')
@@ -864,7 +895,7 @@ def one_disagreeing_report(dim, tol=1e-9):
     predicted = np.broadcast_to(np.where(m == a, b, d), (d + 1, d, d + 1)).copy()
     observed = predicted.copy()
     observed[1, 2, 0] = d + 1
-    return CrossReport(dim, tol, predicted, observed, predicted == observed, np.zeros(observed.shape))
+    return CrossReport(dim, predicted, observed, predicted == observed, np.zeros(observed.shape))
 
 
 def test_cross_validate_text_names_each_disagreeing_cell(capsys, monkeypatch):
@@ -1057,7 +1088,7 @@ def test_the_reader_reads_every_op_and_golden_argv_as_the_full_parser(monkeypatc
              for argv in ops.generate(workload, seed)]
     full = cli.build_parser()
     # main parses and checks budgets, but runs no command
-    monkeypatch.setattr(cli, "_HANDLERS", dict.fromkeys(cli.COMMANDS, lambda args, dim: (None, None, "")))
+    monkeypatch.setattr(cli, "_HANDLERS", dict.fromkeys(cli.COMMANDS, lambda args, dim: ({}, None, "")))
     for argv in argvs + golden_argvs():
         args = cli._read_well_formed(argv[0], argv[1:])
         assert args is not None, argv

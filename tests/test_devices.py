@@ -325,23 +325,42 @@ def scalar_uniforms(seed, trials):
     return np.array([trial_rng(seed, t).random() for t in trials])
 
 
+def uniforms(seed, trials):
+    """The blocks of trial_uniforms, concatenated."""
+    return np.concatenate(list(trial_uniforms(seed, trials)))
+
+
 def test_trial_uniforms_match_scalar_streams():
     # 200 random 64-bit seeds x 50 trials: 10^4 (seed, t) pairs, then the edges
     seeds = np.random.default_rng(2024).integers(0, 2**64, size=200, dtype=np.uint64)
     for seed in [*map(int, seeds), *EDGE_SEEDS]:
-        assert np.array_equal(trial_uniforms(seed, 50), scalar_uniforms(seed, range(50)))
+        assert np.array_equal(uniforms(seed, 50), scalar_uniforms(seed, range(50)))
 
 
 def test_trial_uniforms_match_across_a_block_boundary():
     trials = TRIAL_BLOCK + 5
     around = range(TRIAL_BLOCK - 5, trials)
     for seed in (7, 2**64 - 1):
-        u = trial_uniforms(seed, trials)
+        u = uniforms(seed, trials)
         assert np.array_equal(u[around.start:], scalar_uniforms(seed, around))
 
 
+def test_trial_uniforms_come_in_blocks():
+    sizes = [len(block) for block in trial_uniforms(3, 2 * TRIAL_BLOCK + 1)]
+    assert sizes == [TRIAL_BLOCK, TRIAL_BLOCK, 1]
+
+
+def test_run_counts_block_by_block_as_one_bincount():
+    trials = 3 * TRIAL_BLOCK + 1
+    for axiom, m in ((Proposition(0, 0, D3), 1), (Proposition(2, 1, Dimension(5)), 4)):
+        u = uniforms(11, trials)
+        expected = np.bincount(outcomes(born(prepare(axiom), m), u), minlength=axiom.dim.d)
+        assert np.array_equal(run(axiom, m, trials, 11), expected)
+
+
 def test_trial_uniforms_seed_range_and_empty_run():
-    assert trial_uniforms(3, 0).shape == (0,)
+    assert list(trial_uniforms(3, 0)) == []
+    # the seed is checked on the call, before any block is asked for
     for seed in (-1, 2**64):
         with pytest.raises(ValueError):
             trial_uniforms(seed, 1)

@@ -219,7 +219,7 @@ def reference_verify(dim: Dimension, tol: float = 1e-10) -> MubReport:
     )
 
     passed = max(ortho, unbias, eigen, shift) < tol
-    return MubReport(ortho, unbias, eigen, shift, tol, passed)
+    return MubReport(ortho, unbias, eigen, shift, passed)
 
 
 @pytest.mark.parametrize("d", PRIMES_TO_31)
@@ -266,7 +266,7 @@ def full_column_verify(dim: Dimension, tol: float = 1e-10) -> MubReport:
         shift = max(shift, float(np.max(residuals)))
 
     passed = max(ortho, unbias, eigen, shift) < tol
-    return MubReport(ortho, unbias, eigen, shift, tol, passed)
+    return MubReport(ortho, unbias, eigen, shift, passed)
 
 
 def two_build_verify(dim: Dimension, tol: float = 1e-10) -> MubReport:
@@ -298,7 +298,7 @@ def two_build_verify(dim: Dimension, tol: float = 1e-10) -> MubReport:
 
     eigen, shift = math.sqrt(eigen), math.sqrt(shift)
     passed = max(ortho, unbias, eigen, shift) < tol
-    return MubReport(ortho, unbias, eigen, shift, tol, passed)
+    return MubReport(ortho, unbias, eigen, shift, passed)
 
 
 @pytest.mark.parametrize("d", PRIMES_TO_31)
