@@ -102,26 +102,42 @@ def _table(eta: np.ndarray) -> np.ndarray:
     return table
 
 
-def _columns(dim: Dimension, a: int, j: np.ndarray, table=None, base=None) -> np.ndarray:
+def _columns(dim: Dimension, a: int, j: np.ndarray, table=None, base=None, s=None) -> np.ndarray:
     """Columns j (an int array) of B_a, entry (k, j) gathered from
     table = _table(_roots(dim)) at base + ((-a s_k) mod d), with base the
-    exponents (-(k j)) mod d; each is built here if not given. Both terms
-    lie in [0, d), so the index needs no reduction: entry e of the doubled
-    table is the root of exponent e mod d. No entry's bits depend on j."""
+    exponents (-(k j)) mod d and s the column of s_k; each is built here if
+    not given. Both terms lie in [0, d), so the index needs no reduction:
+    entry e of the doubled table is the root of exponent e mod d. No entry's
+    bits depend on j."""
     d = dim.d
-    k = np.arange(d)[:, None]
     if a == d:
-        return (k == j).astype(np.complex128)
+        return (np.arange(d)[:, None] == j).astype(np.complex128)
     if d == 2 and a == 1:
         # |j>_1 = Z^(-j) |0>_1 with |0>_1 = (|0> + i|1>)/sqrt(2)
         half = 1.0 / math.sqrt(2.0)
         return np.array([[half, half], [1j * half, -1j * half]]).take(j, axis=1)
-    s = (d - k) * (d + k - 1) // 2  # s_k = k + (k+1) + ... + (d-1)
+    if s is None:
+        s = _sums(d)
     if table is None:
         table = _table(_roots(dim))
     if base is None:
-        base = (-k * j) % d
+        base = (-np.arange(d)[:, None] * j) % d
     return table[base + (-a * s) % d]  # row k, column j
+
+
+def _sums(d: int) -> np.ndarray:
+    """s_k = k + (k+1) + ... + (d-1), as a column."""
+    k = np.arange(d)[:, None]
+    return (d - k) * (d + k - 1) // 2
+
+
+# verify() checks the bases a block at a time, in a (g, d, d) buffer of at
+# most this many complex entries (or of one basis, from d = 67 on): 64 KiB,
+# under glibc's 128 KiB mmap threshold, so the buffers come from the heap.
+# Buffers of 2**15 entries (512 KiB) are mapped afresh, and a verify-mub op
+# in a new process faulted in up to 350 pages for them. From d = 47 on a
+# block holds one basis.
+BLOCK_ENTRIES = 2**12
 
 
 def verify(dim: Dimension, tol: float = 1e-10) -> MubReport:
@@ -142,6 +158,16 @@ def verify(dim: Dimension, tol: float = 1e-10) -> MubReport:
     0, the one read. One root-of-unity table gives the phases, and its
     doubled, scaled copy with one array of base exponents every column.
 
+    Each basis alone is gathered, read in its half gemm and checked for
+    orthonormality. For unbiasedness only the least and the greatest |G|
+    over all pairs are kept: squaring and subtracting 1/d round
+    monotonically, so the largest |fl(fl(|G|^2) - 1/d)| is reached at one of
+    the two, bit for bit. The bases a < d are copied, a block of at most
+    BLOCK_ENTRIES entries at a time, into one reused buffer, where the shift
+    check runs over the whole block in place, and the eigen images of the
+    block's first columns are built together; only the two vdots of each
+    eigen residual stay per basis.
+
     These reductions hold only because the shift check, over every column,
     is part of `passed`: if the shift residual is eps, each overlap and each
     column's eigen residual is within about 2(d-1) eps of its representative,
@@ -153,27 +179,68 @@ def verify(dim: Dimension, tol: float = 1e-10) -> MubReport:
     d = dim.d
     k = np.arange(d)
     eta = _roots(dim)
-    table, base = _table(eta), (-k[:, None] * k) % d  # base: shared by every B_a
+    table, base, s = _table(eta), (-k[:, None] * k) % d, _sums(d)  # shared by every B_a
+    e_0, phases = k == 0, eta[:, None]
     first = np.empty((d, d + 1), dtype=np.complex128)
+    g = max(1, BLOCK_ENTRIES // (d * d))
+    block, work = np.empty((2, g, d, d), dtype=np.complex128)
 
-    ortho = unbias = eigen = shift = 0.0  # eigen and shift as squared norms
-    for a in range(d + 1):
-        basis = _columns(dim, a, k, table, base)
-        first[:, a] = column = basis[:, 0]
-        overlaps = basis.conj().T @ first[:, : a + 1]
-        ortho = max(ortho, float(np.max(np.abs(overlaps[:, a] - (k == 0)))))  # against e_0
-        deviations = np.abs(np.abs(overlaps) ** 2 - 1.0 / d)
-        deviations[:, a] = 0.0  # column a is basis a itself; deviations are >= 0
-        unbias = max(unbias, float(np.max(deviations)))
-        if a == d:
-            ortho = max(ortho, float(np.max(np.abs(basis - np.eye(d)))))
-            continue
-        image = (eta[(a * k) % d] * column)[k - 1]  # X Z^a |0>_a
-        residual = image - np.vdot(column, image) * column  # by its Rayleigh quotient
-        eigen = max(eigen, float(np.vdot(residual, residual).real))
-        residuals = eta[:, None] * basis - basis[:, k - 1]  # Z|j>_a - |j-1>_a
-        shift = max(shift, float(np.max(np.sum(residuals.real**2 + residuals.imag**2, axis=0))))
+    ortho = eigen = shift = 0.0  # eigen and shift as squared norms
+    low, high = math.inf, 0.0  # the least and the greatest |G[:, :a]|
+    for start in range(0, d, g):
+        n = min(g, d - start)
+        for i in range(n):
+            a = start + i
+            basis = _columns(dim, a, k, table, base, s)
+            block[i], first[:, a] = basis, basis[:, 0]
+            deviation, least, greatest = _read_pairs(basis, first[:, : a + 1], e_0)
+            ortho, low, high = max(ortho, deviation), min(low, least), max(high, greatest)
+        shift = max(shift, _shift_residual(phases, block[:n], work[:n]))
+        # X Z^a |0>_a: a phase per row (eta^(a k) = eta^base[-a, k]), then a
+        # shift down one row
+        columns = first[:, start : start + n].T
+        images = (eta[base[-np.arange(start, start + n)]] * columns)[:, k - 1]
+        for column, image in zip(columns, images):
+            residual = image - np.vdot(column, image) * column  # by its Rayleigh quotient
+            eigen = max(eigen, float(np.vdot(residual, residual).real))
 
+    basis = _columns(dim, d, k, table, base, s)  # B_d: checked to be the identity
+    first[:, d] = basis[:, 0]
+    deviation, least, greatest = _read_pairs(basis, first, e_0)
+    ortho = max(ortho, deviation, float(np.abs(basis - np.eye(d)).max()))
+    low, high = min(low, least), max(high, greatest)
+
+    # rounding is monotone: the largest |fl(fl(|G|^2) - 1/d)| is at low or high
+    unbias = max(abs(high * high - 1.0 / d), abs(low * low - 1.0 / d))
     eigen, shift = math.sqrt(eigen), math.sqrt(shift)
     passed = max(ortho, unbias, eigen, shift) < tol
     return MubReport(ortho, unbias, eigen, shift, passed)
+
+
+def _read_pairs(basis: np.ndarray, first: np.ndarray, e_0: np.ndarray) -> tuple:
+    """From G = B_a^dagger F[:, :a+1], the half gemm: max |G[:, a] - e_0|, and
+    the least and the greatest |G[:, :a]| (inf and 0 at a = 0). Its
+    temporaries are freed on return, before the next basis is built."""
+    overlaps = basis.conj().T @ first
+    column = float(np.abs(overlaps[:, -1] - e_0).max())
+    if overlaps.shape[1] == 1:
+        return column, math.inf, 0.0
+    moduli = np.abs(overlaps[:, :-1])
+    return column, float(moduli.min()), float(moduli.max())
+
+
+def _shift_residual(phases: np.ndarray, block: np.ndarray, work: np.ndarray) -> float:
+    """The largest squared norm of Z|j>_a - |j-1>_a over the bases in block,
+    worked out in place in work, a buffer of block's shape."""
+    # the phases come first, as in eta[:, None] * B_a: numpy's complex
+    # product does not give the same bits with its operands swapped
+    residuals = np.multiply(phases, block, out=work)
+    wrapped = residuals[:, :, 0].copy()
+    # one flat pass subtracts each entry's left neighbour; in column 0 that
+    # is the row above's last entry, so column 0 is done again
+    residuals.reshape(-1)[1:] -= block.reshape(-1)[:-1]
+    np.subtract(wrapped, block[:, :, -1], out=residuals[:, :, 0])
+    squares = residuals.view(np.float64)
+    squares *= squares
+    norms = np.add(squares[..., ::2], squares[..., 1::2])  # |r|^2 = re^2 + im^2
+    return float(norms.sum(axis=1).max())  # summed down each column, in order

@@ -669,8 +669,10 @@ def test_cross_report_template_at_least_3x_faster_than_per_cell_dicts_at_d11():
 
 # sha256 of stdout, recorded before the table and the cross-validate cells were
 # rendered from fragments, and the verify-mub reports (the cheapest and the
-# dearest verify op of the bench) after verify moved to its half gemm; the
-# goldens compare floats at FLOAT_TOL, these compare every byte
+# dearest verify op of the bench) after verify moved to its half gemm, and at
+# the verify-mub cap, where every block holds one basis, before verify
+# checked its bases in blocks; the goldens compare floats at FLOAT_TOL, these
+# compare every byte
 STDOUT_SHA256 = {
     ("table", "--d", "41", "--format", "machine"):
         "e04dcdb5207f37098e93e86bc7f84dcaf70df862bd3cf87970ee33ce49e33abe",
@@ -686,6 +688,8 @@ STDOUT_SHA256 = {
         "8dd18cdfd7c78982db9a2d61161a83a27500dee2a5df22f76b8ee476cfc0dd6c",
     ("verify-mub", "--d", "73", "--format", "machine"):
         "8a7dc0303560b8860d6afecb8ce0c5bbdcbf58bd5f5ce5ad8fecc55eb2077ab0",
+    ("verify-mub", "--d", "311", "--format", "machine"):
+        "b7dac9b0499c72b7419c032679eb8e08778b6d66dce8a5c88067bd6d787cc45e",
     ("probs", "--d", "97", "--axiom", "5,3", "--measure", "11", "--format", "machine"):
         "767bd066c602f63d4121ab6aaccc8d9d6bfb4ced3f6ee44a0701d9765a8b4816",
     ("probs", "--d", "1009", "--axiom", "1,1", "--measure", "0", "--format", "machine"):
@@ -791,6 +795,16 @@ def test_run_at_the_trial_budget_peaks_below_64_mb():
     # once, with their outcomes, the run peaked at 191 MB
     argv = ["run", "--d", "3", "--axiom", "0,0", "--measure", "1",
             "--trials", str(MAX_TRIALS), "--seed", "7", "--format", "machine"]
+    proc = subprocess.run([sys.executable, "-c", RSS_SCRIPT, *argv],
+                          capture_output=True, text=True, env=module_env(), check=True)
+    assert int(proc.stdout) < 64 * 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_verify_mub_at_the_cap_peaks_below_64_mb():
+    # at the cap a block holds one basis, so verify's block and work buffers
+    # are d x d each, beside F and the base exponents; the peak is about 42 MB
+    argv = ["verify-mub", "--d", str(MAX_D["verify-mub"]), "--format", "machine"]
     proc = subprocess.run([sys.executable, "-c", RSS_SCRIPT, *argv],
                           capture_output=True, text=True, env=module_env(), check=True)
     assert int(proc.stdout) < 64 * 1024

@@ -168,9 +168,9 @@ def test_cross_validate_builds_each_basis_twice_and_no_single_state(monkeypatch,
     widths = []
     columns = mub._columns
 
-    def counting(dim, a, j, table=None, base=None):
+    def counting(dim, a, j, table=None, base=None, s=None):
         widths.append(len(j))
-        return columns(dim, a, j, table, base)
+        return columns(dim, a, j, table, base, s)
 
     def no_state(*args):
         raise AssertionError("basis_state called")

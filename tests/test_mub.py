@@ -365,7 +365,8 @@ def _patch_bases(monkeypatch, mutant) -> None:
         return columns(dim, a, np.arange(dim.d))
 
     monkeypatch.setattr(
-        mub, "_columns", lambda dim, a, j, table=None, base=None: mutant(original, dim, a)[:, j]
+        mub, "_columns",
+        lambda dim, a, j, table=None, base=None, s=None: mutant(original, dim, a)[:, j],
     )
 
 
@@ -390,15 +391,24 @@ def test_wrong_s_k_fails_both_verifies(monkeypatch, d):
             assert getattr(report, field) < 1e-10, field
 
 
-@pytest.mark.parametrize("d, j", [(2, 1), (3, 2), (5, 4), (7, 6), (3, 1), (7, 3)])
-def test_rephased_column_fails_only_the_shift_check(monkeypatch, d, j):
-    # |j>_1 times a unit phase is still an eigenvector of X Z with the same
+# (d, j, a): column j of basis a. At d = 29 verify checks the bases below d
+# in blocks of four, the last one partial: basis 15 ends a middle block, and
+# basis 28 is alone in the last
+REPHASED = [(2, 1, 1), (3, 2, 1), (5, 4, 1), (7, 6, 1), (3, 1, 1), (7, 3, 1), (29, 5, 15), (29, 27, 28)]
+
+
+@pytest.mark.parametrize(
+    "d, j, a", REPHASED,
+    ids=[f"{d}-{j}" if a == 1 else f"{d}-{j}-basis {a}" for d, j, a in REPHASED],
+)
+def test_rephased_column_fails_only_the_shift_check(monkeypatch, d, j, a):
+    # |j>_a times a unit phase is still an eigenvector of X Z^a with the same
     # eigenvalue, and keeps every overlap's modulus; verify reads neither from
     # it, and only the shift labelling around column j sees it (for j inside
     # 1..d-2, not the pair of columns 0 and d-1)
-    def mutant(original, dim, a):
-        matrix = original(dim, a)
-        if a == 1:
+    def mutant(original, dim, b):
+        matrix = original(dim, b)
+        if b == a:
             matrix[:, j] *= cmath.exp(0.1j)
         return matrix
 
@@ -422,10 +432,16 @@ def test_swapped_columns_fail_both_verifies(monkeypatch, d, a):
     _assert_both_fail(monkeypatch, Dimension(d), mutant)
 
 
-@pytest.mark.parametrize("d", [2, 5])
-@pytest.mark.parametrize("where", ["first column", "last column", "Z basis"])
+@pytest.mark.parametrize(
+    "where, d",
+    [(where, d) for where in ("first column", "last column", "Z basis") for d in (2, 5)]
+    + [("middle block", 29), ("partial last block", 29)],  # see REPHASED
+)
 def test_perturbed_column_fails_both_verifies(monkeypatch, d, where):
-    a, j = {"first column": (0, 0), "last column": (1, d - 1), "Z basis": (d, 1)}[where]
+    a, j = {
+        "first column": (0, 0), "last column": (1, d - 1), "Z basis": (d, 1),
+        "middle block": (15, 3), "partial last block": (28, 27),
+    }[where]
 
     def mutant(original, dim, b):
         matrix = original(dim, b)
@@ -474,10 +490,12 @@ def test_conjugated_d2_seed_passes_both_verifies(monkeypatch):
     assert verify(dim).passed and reference_verify(dim).passed
 
 
-@pytest.mark.parametrize("d", [2, 5])
+@pytest.mark.parametrize("d", [2, 5, 29])
 def test_every_basis_verify_reads_goes_through_the_mutant_seam(monkeypatch, d):
     # the mutant tests above patch mub._columns; if verify built a basis some
-    # other way they would pass without testing anything
+    # other way they would pass without testing anything. At d = 29 the
+    # bases below d fall into 8 blocks of at most 4, the last of 1, and the Z
+    # basis is read after them
     dim = Dimension(d)
     for perturbed in range(d + 1):
         with monkeypatch.context() as patch:
