@@ -62,50 +62,71 @@ class Fragment(str):
     """JSON text, rendered in advance, that to_json emits verbatim."""
 
 
-def to_json(value) -> str:
+def to_json(value, end: str = "") -> str:
     """Render a plain-python document as JSON with 17-significant-digit floats,
-    in one join of the pieces _pieces lists.
+    followed by `end`, in one join of the pieces _pieces lists.
 
     A Fragment is emitted as it is. Strings are quoted by the function
     json.dumps uses for them.
     """
-    return "".join(_pieces(value, []))
+    return "".join([*_pieces(value, []), end])
+
+
+def _finite(value: float) -> str:
+    if math.isnan(value) or math.isinf(value):
+        raise ValueError("only finite numbers are serializable")
+    return format(value, ".17g")
+
+
+# the renderer of each type _pieces takes, by exact type (None: a container);
+# any other type renders as the first it is an instance of, in this order
+_RENDERERS = {
+    type(None): {None: "null"}.__getitem__,
+    bool: ("false", "true").__getitem__,
+    int: str,
+    float: _finite,
+    Fragment: lambda fragment: fragment,  # as itself: str() would copy it
+    str: _quote,
+    dict: None,
+    list: None,
+    tuple: None,
+}
 
 
 def _pieces(value, out: list) -> list:
     """Append the JSON text of value to out, piece by piece; return out.
 
-    A Fragment is appended itself, so the one join in to_json is the only
-    copy of its text.
+    A dict's or a list's leaves are rendered in its loop. A Fragment is
+    appended itself, so the one join in to_json is the only copy of its text.
     """
-    if value is None:
-        out.append("null")
-    elif isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, float):
-        if math.isnan(value) or math.isinf(value):
-            raise ValueError("only finite numbers are serializable")
-        out.append(format(value, ".17g"))
-    elif isinstance(value, str):
-        out.append(value if isinstance(value, Fragment) else _quote(value))
-    elif isinstance(value, dict):
+    kind = type(value)
+    if kind not in _RENDERERS:
+        kind = next((base for base in _RENDERERS if isinstance(value, base)), None)
+        if kind is None:
+            raise TypeError(f"unserializable value: {value!r}")
+    render = _RENDERERS[kind]
+    if render is not None:
+        out.append(render(value))
+    elif kind is dict:
         separator = "{"
         for key, item in value.items():
-            out += (separator, _quote(str(key)), ": ")
-            _pieces(item, out)
+            out += (separator, _quote(key if type(key) is str else str(key)), ": ")
+            if (render := _RENDERERS.get(type(item))) is None:
+                _pieces(item, out)
+            else:
+                out.append(render(item))
             separator = ", "
         out.append("}" if value else "{}")
-    elif isinstance(value, (list, tuple)):
+    else:
         separator = "["
         for item in value:
             out.append(separator)
-            _pieces(item, out)
+            if (render := _RENDERERS.get(type(item))) is None:
+                _pieces(item, out)
+            else:
+                out.append(render(item))
             separator = ", "
         out.append("]" if value else "[]")
-    else:
-        raise TypeError(f"unserializable value: {value!r}")
     return out
 
 
@@ -229,17 +250,13 @@ def render_table_text(dim: Dimension) -> str:
     return "\n".join(lines) + "\n"
 
 
-def table_json(dim: Dimension) -> Fragment:
-    """The partition table as JSON, the bytes of
-    json.dumps(partition_array(dim).tolist()): each row joined from the
-    rotated "[f0, f1]" pair strings of _rows, the rows joined once."""
+def table_json(dim: Dimension) -> list[Fragment]:
+    """The partition table as its rows' JSON, one Fragment per row, which
+    to_json renders as the bytes of json.dumps(partition_array(dim).tolist()):
+    each row joined from the rotated "[f0, f1]" pair strings of _rows."""
     d = dim.d
     pairs = [[f"[{f0}, {f1}]" for f1 in range(d)] for f0 in range(d)]
-    pieces = ["[[["]
-    for row in _rows(pairs):
-        pieces += ("], [".join(map(", ".join, row)), "]], [[")
-    pieces[-1] = "]]]"
-    return Fragment("".join(pieces))
+    return [Fragment("[[%s]]" % "], [".join(map(", ".join, row))) for row in _rows(pairs)]
 
 
 # ---------------------------------------------------------------------------
@@ -256,17 +273,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _pair(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(
-            f"expected two comma-separated integers, got {text!r}"
-        )
     try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
+        first, second = map(int, text.split(","))
+    except ValueError:  # not two parts, or not two ints
         raise argparse.ArgumentTypeError(
             f"expected two comma-separated integers, got {text!r}"
         ) from None
+    return first, second
 
 
 def parse_seed(text: str) -> int:
@@ -324,6 +337,16 @@ COMMANDS = {
 }
 
 
+# per command, built once: its options by flag as (name, type, choices), its
+# required flags, its defaults by name and its parameters' names (not --format)
+_READERS = {command: (
+    {flag: (flag[2:], kw.get("type", str), kw.get("choices")) for flag, kw in options},
+    {flag for flag, kw in options if kw.get("required")},
+    {flag[2:]: kw.get("default") for flag, kw in options},
+    [flag[2:] for flag, _ in options if flag != "--format"],
+) for command, (_, tail) in COMMANDS.items() for options in [_SHARED + tail]}
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The full parser, the top level and a subparser per command, for the
     argv that _read_well_formed declines."""
@@ -345,22 +368,22 @@ def _read_well_formed(command: str, tail: list[str]) -> argparse.Namespace | Non
     option's type (failing only as argparse catches) and in its choices, and
     every required option given. The others take their defaults.
     """
-    options = dict(_SHARED + COMMANDS[command][1])
+    options, required, defaults, _ = _READERS[command]
     given = dict(zip(tail[::2], tail[1::2]))  # short on a repeated name or an odd count
-    if (2 * len(given) != len(tail) or not given.keys() <= options.keys()
-            or any(text.startswith("-") for text in given.values())
-            or any(kw.get("required") and flag not in given for flag, kw in options.items())):
+    if 2 * len(given) != len(tail) or not options.keys() >= given.keys() >= required:
         return None
-    values = {flag[2:]: keywords.get("default") for flag, keywords in options.items()}
+    values = defaults.copy()
     for flag, text in given.items():
-        keywords = options[flag]
+        name, convert, choices = options[flag]
+        if text.startswith("-"):
+            return None
         try:
-            value = keywords.get("type", str)(text)
+            value = convert(text)
         except (argparse.ArgumentTypeError, TypeError, ValueError):
             return None
-        if "choices" in keywords and value not in keywords["choices"]:
+        if choices is not None and value not in choices:
             return None
-        values[flag[2:]] = value
+        values[name] = value
     return argparse.Namespace(**values)
 
 
@@ -383,11 +406,9 @@ def _parameters(args: argparse.Namespace) -> dict:
     """The envelope's parameters: every option of the command but --format,
     in COMMANDS order, a pair as a list."""
     params = {}
-    for flag, _ in _SHARED + COMMANDS[args.command][1]:
-        name = flag[2:]
-        if name != "format":
-            value = getattr(args, name)
-            params[name] = list(value) if isinstance(value, tuple) else value
+    for name in _READERS[args.command][3]:
+        value = getattr(args, name)
+        params[name] = list(value) if isinstance(value, tuple) else value
     return params
 
 
@@ -433,12 +454,12 @@ def _cmd_verify_mub(args, dim):
 def _cmd_decide(args, dim):
     axiom = Proposition(args.axiom[0], args.axiom[1], dim)
     theorem = Proposition(args.theorem[0], args.theorem[1], dim)
-    verdict = decide(axiom, theorem)
-    text = (
+    verdict = decide(axiom, theorem).value
+    text = "" if args.format == "machine" else (
         f"axiom {{{axiom.a},{axiom.b}}}, theorem "
-        f"{{{theorem.a},{theorem.b}}}, d={dim.d}: {verdict.value}\n"
+        f"{{{theorem.a},{theorem.b}}}, d={dim.d}: {verdict}\n"
     )
-    return {"decidability": verdict.value}, None, text
+    return {"decidability": verdict}, None, text
 
 
 def _cmd_probs(args, dim):
@@ -536,11 +557,11 @@ def main(argv=None) -> int:
         if args.format == "machine":  # rendered in the try: a non-finite float is an input error
             status = "ok" if failure is None else "error"
             payload = {**parameters, **results}
-            text = to_json(_envelope(args.command, parameters, status, payload, failure)) + "\n"
+            text = to_json(_envelope(args.command, parameters, status, payload, failure), "\n")
     except ValueError as exc:
         code, text = 1, f"error: {exc}\n"
         if args.format == "machine":
-            text = to_json(_envelope(args.command, parameters, "error", None, str(exc))) + "\n"
+            text = to_json(_envelope(args.command, parameters, "error", None, str(exc)), "\n")
     _write(text)
     return code
 

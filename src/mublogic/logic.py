@@ -6,16 +6,17 @@ either a linear relation "f(1) = a f(0) + b" (partitions a = 0..d-1) or a
 value pin "f(0) = b" (partition a = d). Whether one proposition is provable
 from another is settled here by exhaustive enumeration, which also serves
 as the independent oracle for the quantum layer. Values in Z_d are plain
-ints, type- and range-checked once where a Proposition is built. The
-enumeration runs over the members of a group, as the int arrays of
-group_arrays(); the tests keep the enumeration over all d**2 functions, one
-object per function (tests/reference.py), as its oracle.
+ints, type- and range-checked once where a Proposition is built. decide
+counts a group's d members in pure Python, without numpy; the whole table
+is counted in numpy. The tests keep the enumeration over all d**2
+functions, one object per function (tests/reference.py), as the oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import count, repeat
 
 import numpy as np
 
@@ -58,23 +59,12 @@ class Proposition:
             )
 
 
-def group_arrays(a: int, b: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """f(0) and f(1) of the d functions in group {a, b}, in construction order.
-
-    Linear rows vary f(0) ascending; the value-pin row varies f(1) ascending.
-    """
-    k = np.arange(d)
-    if a < d:
-        return k, (a * k + b) % d
-    return np.full(d, b), k
-
-
 def partition_array(dim: Dimension) -> np.ndarray:
     """(d+1, d, d, 2) int array: group {a, b} at [a, b] as its (f(0), f(1)) pairs."""
     d = dim.d
     k = np.arange(d)
     table = np.empty((d + 1, d, d, 2), dtype=k.dtype)
-    # rows a < d as group_arrays gives them: (k, (a k + b) mod d), [a, b, k]
+    # rows a < d: (k, (a k + b) mod d), [a, b, k]
     table[:d, :, :, 0] = k
     table[:d, :, :, 1] = (k[:, None, None] * k + k[:, None]) % d
     # the value-pin row: (b, k)
@@ -83,15 +73,24 @@ def partition_array(dim: Dimension) -> np.ndarray:
     return table
 
 
-def label_counts(axiom: Proposition, m: int) -> np.ndarray:
-    """Per outcome n, how many members of the axiom's group satisfy {m, n}."""
-    d = axiom.dim.d
+def label_counts(axiom: Proposition, m: int) -> list[int]:
+    """Per outcome n, how many members (f0, f1) of the axiom's group satisfy
+    {m, n}, counted in pure Python: member k is (k, (a k + b) mod d) for
+    a < d and (b, k) for a = d, and it lies in the group of partition m
+    that its label names, (f1 - m f0) mod d, or f0 at m = d."""
+    d, a, b = axiom.dim.d, axiom.a, axiom.b
     if not 0 <= m <= d:
         raise ValueError(f"measurement index {m} out of range [0, {d}]")
-    f0, f1 = group_arrays(axiom.a, axiom.b, d)
-    # each function lies in exactly one group of partition m; this is its b
-    labels = (f1 - m * f0) % d if m < d else f0
-    return np.bincount(labels, minlength=d)
+    counts = [0] * d
+    # the members (f0, f1) in construction order, a linear group's f1 = a f0 + b unreduced
+    members = zip(range(d), count(b, a)) if a < d else zip(repeat(b, d), range(d))
+    if m == d:
+        for f0, _ in members:
+            counts[f0] += 1
+    else:
+        for f0, f1 in members:
+            counts[(f1 - m * f0) % d] += 1
+    return counts
 
 
 def label_count_table(dim: Dimension) -> np.ndarray:

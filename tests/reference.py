@@ -21,7 +21,6 @@ from mublogic.experiment import CrossReport, _behavior_codes
 from mublogic.logic import (
     Proposition,
     _check_residue,
-    group_arrays,
     label_counts,
     partition_array,
 )
@@ -96,6 +95,17 @@ def holds(f: BinaryFunction, p: Proposition) -> bool:
     return f.f0 == p.b
 
 
+def group_arrays(a: int, b: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """f(0) and f(1) of the d functions in group {a, b}, in construction order.
+
+    Linear rows vary f(0) ascending; the value-pin row varies f(1) ascending.
+    """
+    k = np.arange(d)
+    if a < d:
+        return k, (a * k + b) % d
+    return np.full(d, b), k
+
+
 def group(p: Proposition) -> tuple[BinaryFunction, ...]:
     """The d functions satisfying p, in construction order."""
     f0, f1 = group_arrays(p.a, p.b, p.dim.d)
@@ -126,7 +136,7 @@ def outcome_multiplicities(axiom: Proposition, m: int) -> dict[int, int]:
     Counts always sum to d: each function lies in exactly one group of
     partition m.
     """
-    return dict(enumerate(label_counts(axiom, m).tolist()))
+    return dict(enumerate(label_counts(axiom, m)))
 
 
 def enumerate_group(p: Proposition) -> set[tuple[int, int]]:
@@ -227,7 +237,7 @@ def predicted_behavior(axiom: Proposition, m: int) -> int:
     Outcome n is provable when all d axiom-consistent functions satisfy
     {m, n}, refutable when none does, and undecidable otherwise.
     """
-    d, counts = axiom.dim.d, label_counts(axiom, m)
+    d, counts = axiom.dim.d, np.asarray(label_counts(axiom, m))
     return int(_behavior_codes(counts == d, counts != 0))
 
 

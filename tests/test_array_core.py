@@ -22,7 +22,6 @@ from mublogic.logic import (
     Decidability,
     Proposition,
     decide,
-    group_arrays,
     partition_array,
 )
 from mublogic.modmath import Dimension, is_prime
@@ -31,6 +30,7 @@ import reference
 from reference import (
     cells,
     enumerate_group,
+    group_arrays,
     observed_behavior,
     outcome_multiplicities,
     partition_table,

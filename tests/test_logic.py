@@ -9,6 +9,7 @@ import itertools
 import numpy as np
 import pytest
 
+from mublogic import logic
 from mublogic.logic import Decidability, Proposition, decide, label_count_table, label_counts
 from mublogic.modmath import Dimension, DimensionMismatch, is_prime
 from reference import (
@@ -221,3 +222,29 @@ def test_label_count_table_stacks_label_counts(d):
             stacked = np.stack([label_counts(axiom, m) for m in range(d + 1)])
             cells = table[a, b]
             assert cells.dtype == stacked.dtype and np.array_equal(cells, stacked), (a, b)
+
+
+class NoNumpy:
+    """Stands in for numpy: reading any attribute fails."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} read")
+
+
+@pytest.mark.parametrize("d", PRIMES)
+def test_decide_and_label_counts_run_without_numpy(monkeypatch, d):
+    dim = Dimension(d)
+    props = {(a, b): Proposition(a, b, dim) for a in range(d + 1) for b in range(d)}
+    groups = {key: enumerate_group(p) for key, p in props.items()}
+    monkeypatch.setattr(logic, "np", NoNumpy())
+    for (a, b), axiom in props.items():
+        for m in range(d + 1):
+            # per n, the members of {a, b} that lie in group {m, n}
+            shared = [len(groups[a, b] & groups[m, n]) for n in range(d)]
+            counts = label_counts(axiom, m)
+            assert type(counts) is list and counts == shared, (a, b, m)
+            for n, satisfied in enumerate(shared):
+                expected = (Decidability.PROVABLY_TRUE if satisfied == d else
+                            Decidability.PROVABLY_FALSE if satisfied == 0 else
+                            Decidability.UNDECIDABLE)
+                assert decide(axiom, props[m, n]) is expected, (a, b, m, n)
