@@ -38,8 +38,8 @@ MAX_TEXT_TABLE_D = 7
 # --trials fails fast with one error envelope. `table` is bound by its
 # envelope (2 d**2 (d+1) ints, about 10 MB at d = 101), `verify-mub` by a 5 s
 # machine run at the cap, `cross-validate` by time, `probs` and `run` by
-# their d x d basis matrices, `decide` by its primality test and group
-# arrays, and --trials by time
+# their d x d basis matrices, `decide` by its primality test and its O(d)
+# walk over the members of the axiom's group, and --trials by time
 MAX_D = {
     "table": 101,
     "verify-mub": 311,
@@ -418,7 +418,7 @@ def _parameters(args: argparse.Namespace) -> dict:
 # what the command computed, after the parameters in the payload
 
 
-def check_budget(command: str, d: int, trials: int | None = None) -> None:
+def check_budget(command: str, d: int, trials: int | None) -> None:
     """Raise ValueError if `command` at this size is over its budget."""
     for name, value, limit in (("d", d, MAX_D[command]), ("trials", trials, MAX_TRIALS)):
         if value is not None and value > limit:
@@ -584,10 +584,10 @@ def _write(text: str) -> None:
         data = data[raw.write(data):]
 
 
-def entrypoint(run=main) -> None:
-    """sys.exit(run()); exit 1, without a traceback, if stdout's reader closes early."""
+def entrypoint() -> None:
+    """sys.exit(main()); exit 1, without a traceback, if stdout's reader closes early."""
     try:
-        code = run()
+        code = main()
         sys.stdout.flush()
     except BrokenPipeError:
         # stdout at devnull, so the interpreter's last flush cannot fail again

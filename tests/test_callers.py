@@ -2,15 +2,15 @@
 the tests, and every parameter default of the package is a knob some caller
 outside the tests turns.
 
-A definition counts as called when src/ or scripts/ loads its name, as a
-Name or an Attribute, anywhere outside the definition itself. A slow path
-that only the tests call belongs in tests/reference.py, so that reference
-code cannot grow back into the package.
+A definition counts as called when src/ loads its name, as a Name or an
+Attribute, anywhere outside the definition itself. A slow path that only the
+tests call belongs in tests/reference.py, so that reference code cannot grow
+back into the package.
 
-A default counts as overridden when a call of that function's name in src/,
-scripts/ or perfbench/ passes the parameter by position or by keyword;
-perfbench/ is read for the argv it hands to cli.main. A default that no
-caller overrides is an option nothing uses.
+A default counts as overridden when a call of that function's name in src/
+or perfbench/ passes the parameter by position or by keyword; perfbench/ is
+read for the argv it hands to cli.main. A default that no caller overrides
+is an option nothing uses.
 """
 
 import ast
@@ -19,12 +19,11 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((REPO / "src" / "mublogic").glob("*.py"))
-SCRIPTS = sorted((REPO / "scripts").glob("*.py"))
 PERFBENCH = sorted((REPO / "perfbench").glob("*.py"))
 
 
 def test_every_module_level_definition_has_a_caller_outside_tests():
-    trees = {path: ast.parse(path.read_text(), str(path)) for path in PACKAGE + SCRIPTS}
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in PACKAGE}
     loads = defaultdict(list)  # name -> the nodes that load it
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -45,7 +44,7 @@ def test_every_module_level_definition_has_a_caller_outside_tests():
 
 def test_every_parameter_default_is_overridden_outside_tests():
     calls = defaultdict(list)  # name -> the calls of that name
-    for path in PACKAGE + SCRIPTS + PERFBENCH:
+    for path in PACKAGE + PERFBENCH:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Call):
                 func = node.func

@@ -800,14 +800,36 @@ def test_run_at_the_trial_budget_peaks_below_64_mb():
     assert int(proc.stdout) < 64 * 1024
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
-def test_verify_mub_at_the_cap_peaks_below_64_mb():
+# each command at its cap (the largest prime d <= MAX_D[command]) in machine
+# format: the tail of its argv after --d, and its peak bound in MB. The
+# interpreter and the numpy import take about 29 MB of every peak; measured
+# on Linux, the peaks are 42, 58, 68, 68 and 36 MB in this order
+CAP_PEAKS = {
     # at the cap a block holds one basis, so verify's block and work buffers
-    # are d x d each, beside F and the base exponents; the peak is about 42 MB
-    argv = ["verify-mub", "--d", str(MAX_D["verify-mub"]), "--format", "machine"]
+    # are d x d each, beside F and the base exponents
+    "verify-mub": ((), 64),
+    # the row fragments and the envelope joined from them, about 10 MB each
+    "table": ((), 80),
+    # B_m, 16 MB of complex128 at d = 1009, beside its int64 exponents while
+    # it is gathered, then beside its conjugate for the gemv
+    "probs": (("--axiom", "5,3", "--measure", "2"), 96),
+    # the [a, b, m, n] probabilities, label counts and their difference,
+    # about 8 MB each at d = 31, and the 6 MB envelope
+    "cross-validate": ((), 96),
+    # label_counts' list of d counts, 8 MB of pointers at d = 1048573
+    "decide": (("--axiom", "5,3", "--theorem", "7,2"), 48),
+}
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+@pytest.mark.parametrize("command", sorted(CAP_PEAKS))
+def test_command_at_its_cap_peaks_below_its_bound(command):
+    tail, bound_mb = CAP_PEAKS[command]
+    d = max(p for p in range(MAX_D[command] - 10, MAX_D[command] + 1) if is_prime(p))
+    argv = [command, "--d", str(d), *tail, "--format", "machine"]
     proc = subprocess.run([sys.executable, "-c", RSS_SCRIPT, *argv],
                           capture_output=True, text=True, env=module_env(), check=True)
-    assert int(proc.stdout) < 64 * 1024
+    assert int(proc.stdout) < bound_mb * 1024
 
 
 def test_decide_at_the_cap_takes_under_half_a_second_end_to_end():
