@@ -61,7 +61,8 @@ def born(states: np.ndarray, m: int) -> np.ndarray:
     dim = Dimension(d)
     if not 0 <= m <= d:
         raise ValueError(f"measurement index {m} out of range [0, {d}]")
-    amplitudes = (basis_matrix(dim, m).conj().T @ states[..., None])[..., 0]
+    b = basis_matrix(dim, m)
+    amplitudes = (np.conjugate(b, out=b).T @ states[..., None])[..., 0]
     return np.minimum(np.abs(amplitudes) ** 2, 1.0)[..., _column(np.arange(d), m, d)]
 
 
@@ -84,7 +85,9 @@ def outcomes(probabilities: np.ndarray, u: np.ndarray) -> np.ndarray:
 # one XSL-RR output becomes a double. The constants are numpy's SeedSequence
 # hash constants and the PCG64 128-bit LCG multiplier (O'Neill 2014, PCG,
 # HMC-CS-2014-0905). They come in blocks of TRIAL_BLOCK trials, which bounds
-# the memory of a caller that is done with each block before the next.
+# the memory of a caller that is done with each block before the next. Steps
+# write into one work set per call: new trial-sized arrays, faulted back in
+# block by block, cost more than the math.
 TRIAL_BLOCK = 8192
 _MIX_MULT_L = np.uint32(0xCA01F9DD)
 _MIX_MULT_R = np.uint32(0x4973F715)
@@ -112,73 +115,109 @@ _POOL_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
 _STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
 
 
-def _hash(words: np.ndarray, constants) -> np.ndarray:
+def _hash(words: np.ndarray, constants, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash of uint32 words, written to out; tmp is scratch."""
     h, h_next = constants
-    words = (words ^ h) * h_next
-    return words ^ (words >> _U16)
+    np.bitwise_xor(words, h, out=out)
+    out *= h_next
+    out ^= np.right_shift(out, _U16, out=tmp)
+    return out
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return result ^ (result >> _U16)
+# pool words 2 and 3, which no seed below 2**64 fills: _hash of 0, in Python ints
+_ZERO_POOL = np.array([[(x := int(h) * int(h_next) & 0xFFFFFFFF) ^ x >> 16]
+                       for h, h_next in _POOL_HASH[2:4]], dtype=np.uint32)
 
 
-def _seed_sequence_state(seeds: np.ndarray) -> list:
-    """SeedSequence(s).generate_state(4, uint64) for each uint64 seed s."""
+def _seed_sequence_state(seeds: np.ndarray, pool: np.ndarray, a, b, state) -> None:
+    """SeedSequence(s).generate_state(4, uint64) for each uint64 seed s, into the
+    4 uint64 rows of state; seeds, the uint32 (4, n) pool, a and b are scratch."""
     # numpy gives a seed below 2**32 a single entropy word; the pool word it
     # leaves empty is hashed as a 0, exactly like a zero high word here
-    entropy = [(seeds & _LOW32).astype(np.uint32), (seeds >> _U32).astype(np.uint32)]
-    zero = np.zeros_like(entropy[0])
-    pool = [_hash(w, c) for w, c in zip(entropy + [zero, zero], _POOL_HASH)]
+    words = list(pool)
+    np.copyto(words[0], seeds, casting="unsafe")  # the low 32 bits
+    np.copyto(words[1], np.right_shift(seeds, _U32, out=seeds), casting="unsafe")
+    for word, constants in zip(words[:2], _POOL_HASH):
+        _hash(word, constants, word, a)
+    pool[2:] = _ZERO_POOL
     calls = iter(_POOL_HASH[4:])
     for src in range(4):
         for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], next(calls)))
-    words = [_hash(pool[i % 4], c).astype(np.uint64) for i, c in enumerate(_STATE_HASH)]
-    return [words[2 * i] | (words[2 * i + 1] << _U32) for i in range(4)]
+            if src != dst:  # mix the hash of word src into word dst
+                x, y = words[dst], _hash(words[src], next(calls), a, b)
+                x *= _MIX_MULT_L
+                x -= np.multiply(y, _MIX_MULT_R, out=y)
+                x ^= np.right_shift(x, _U16, out=b)
+    for i, word in enumerate(state):  # the high half from word 2i + 1, the low from 2i
+        np.copyto(word, _hash(words[(2 * i + 1) % 4], _STATE_HASH[2 * i + 1], a, b))
+        word <<= _U32
+        word |= _hash(words[2 * i % 4], _STATE_HASH[2 * i], a, b)
 
 
-def _add128(a_hi, a_lo, b_hi, b_lo):
-    lo = a_lo + b_lo
-    return a_hi + b_hi + (lo < a_lo), lo
+def _add128(hi, lo, inc_hi, inc_lo, carry) -> None:
+    """(hi:lo) += (inc_hi:inc_lo), mod 2**128, in place; carry is scratch."""
+    lo += inc_lo
+    hi += inc_hi
+    hi += np.less(lo, inc_lo, out=carry)
 
 
-def _pcg64_step(hi, lo, inc_hi, inc_lo):
-    """state * multiplier + inc, mod 2**128, on (high, low) uint64 halves."""
-    # high half of lo * _MULT_LO from 32-bit limbs; the other cross terms
-    # only reach the high half mod 2**64
+def _pcg64_step(hi, lo, inc_hi, inc_lo, scratch, carry) -> None:
+    """(hi:lo) = (hi:lo) * multiplier + inc, mod 2**128, in place; 5 rows of scratch."""
+    # high half of lo * _MULT_LO from 32-bit limbs; other cross terms only reach it mod 2**64
     m_lo, m_hi = _MULT_LO_LIMBS
-    lo_lo, lo_hi = lo & _LOW32, lo >> _U32
-    ll, lh, hl = lo_lo * m_lo, lo_lo * m_hi, lo_hi * m_lo
-    middle = (ll >> _U32) + (lh & _LOW32) + (hl & _LOW32)
-    carry_hi = lo_hi * m_hi + (lh >> _U32) + (hl >> _U32) + (middle >> _U32)
-    product_hi = carry_hi + hi * _MULT_LO + lo * _MULT_HI
-    return _add128(product_hi, lo * _MULT_LO, inc_hi, inc_lo)
+    lh, lo_hi, ll, hl, t = scratch
+    np.multiply(np.bitwise_and(lo, _LOW32, out=lh), m_lo, out=ll)
+    lh *= m_hi
+    np.multiply(np.right_shift(lo, _U32, out=lo_hi), m_lo, out=hl)
+    ll >>= _U32  # then the middle terms: (ll >> 32) + (lh & low32) + (hl & low32)
+    ll += np.bitwise_and(lh, _LOW32, out=t)
+    ll += np.bitwise_and(hl, _LOW32, out=t)
+    lo_hi *= m_hi  # then the high half: lo_hi * m_hi plus the terms' carries
+    for x in (lh, hl, ll):
+        lo_hi += np.right_shift(x, _U32, out=x)
+    hi *= _MULT_LO
+    hi += lo_hi
+    hi += np.multiply(lo, _MULT_HI, out=t)
+    lo *= _MULT_LO
+    _add128(hi, lo, inc_hi, inc_lo, carry)
 
 
-def _first_uniform(seeds: np.ndarray) -> np.ndarray:
-    """default_rng(s).random() for each uint64 seed s."""
-    v0, v1, v2, v3 = _seed_sequence_state(seeds)
+def _first_uniform(seed: np.uint64, start: int, mixed: np.ndarray, work) -> np.ndarray:
+    """default_rng(seed XOR ((start + t) * TRIAL_SEED_MIX)).random() for t < len(mixed),
+    mixed[t] = t * TRIAL_SEED_MIX, in the work set's leading len(mixed) columns."""
+    pool, half, wide, carry = (rows[..., :len(mixed)] for rows in work)
+    hi, lo, inc_hi, inc_lo, *scratch = wide  # v0..v3 of the SeedSequence state
+    t = np.add(mixed, np.uint64(start * TRIAL_SEED_MIX & _MASK64), out=scratch[0])
+    t ^= seed
+    _seed_sequence_state(t, pool, *half, (hi, lo, inc_hi, inc_lo))
     # set-seq init: inc = (v2:v3) << 1 | 1; state = 0, step, += (v0:v1), step
-    inc_hi = (v2 << np.uint64(1)) | (v3 >> np.uint64(63))
-    inc_lo = (v3 << np.uint64(1)) | np.uint64(1)
-    hi, lo = _add128(inc_hi, inc_lo, v0, v1)
-    hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
-    # random(): one more step, XSL-RR output, top 53 bits as a double
-    hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
-    folded, rotation = hi ^ lo, hi >> np.uint64(58)
-    out = (folded >> rotation) | (folded << ((np.uint64(64) - rotation) & np.uint64(63)))
-    return (out >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    inc_hi <<= np.uint64(1)
+    inc_hi |= np.right_shift(inc_lo, np.uint64(63), out=t)
+    inc_lo <<= np.uint64(1)
+    inc_lo |= np.uint64(1)
+    _add128(hi, lo, inc_hi, inc_lo, carry)
+    _pcg64_step(hi, lo, inc_hi, inc_lo, scratch, carry)
+    # random(): one more step, XSL-RR output, top 53 bits as a new double array
+    _pcg64_step(hi, lo, inc_hi, inc_lo, scratch, carry)
+    rotation = np.right_shift(hi, np.uint64(58), out=t)
+    hi ^= lo  # folded
+    np.right_shift(hi, rotation, out=lo)
+    np.subtract(np.uint64(64), rotation, out=rotation)
+    hi <<= np.bitwise_and(rotation, np.uint64(63), out=rotation)
+    hi |= lo
+    hi >>= np.uint64(11)
+    return np.multiply(hi, 2.0**-53)
 
 
 def trial_uniforms(seed: int, trials: int) -> Iterator[np.ndarray]:
-    """default_rng(seed XOR (t * TRIAL_SEED_MIX mod 2**64)).random() for
-    t = 0..trials-1, bit for bit, as arrays of at most TRIAL_BLOCK trials in
-    trial order; trials = 0 gives none. The seed is checked on the call."""
+    """default_rng(seed XOR (t * TRIAL_SEED_MIX mod 2**64)).random() for t = 0..trials-1, bit
+    for bit, as arrays of at most TRIAL_BLOCK trials in trial order; trials = 0 gives none.
+    The call checks the seed and allocates one work set for all the blocks."""
     if not 0 <= seed < SEED_BOUND:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    blocks = (np.arange(start, min(start + TRIAL_BLOCK, trials), dtype=np.uint64)
-              for start in range(0, trials, TRIAL_BLOCK))
-    seed_word, mix_word = np.uint64(seed), np.uint64(TRIAL_SEED_MIX)
-    return (_first_uniform(seed_word ^ (t * mix_word)) for t in blocks)
+    n = min(trials, TRIAL_BLOCK)
+    mixed = np.multiply(np.arange(n, dtype=np.uint64), np.uint64(TRIAL_SEED_MIX))
+    work = (np.empty((4, n), np.uint32), np.empty((2, n), np.uint32),
+            np.empty((9, n), np.uint64), np.empty(n, np.bool_))
+    return (_first_uniform(np.uint64(seed), start, mixed[:trials - start], work)
+            for start in range(0, trials, TRIAL_BLOCK))

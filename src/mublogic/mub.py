@@ -120,8 +120,9 @@ def _columns(dim: Dimension, a: int, j: np.ndarray, table=None, base=None, s=Non
         s = _sums(d)
     if table is None:
         table = _table(_roots(dim))
-    if base is None:
+    if base is None:  # built here, so the shift is added in place
         base = (-np.arange(d)[:, None] * j) % d
+        return table[np.add(base, (-a * s) % d, out=base)]
     return table[base + (-a * s) % d]  # row k, column j
 
 

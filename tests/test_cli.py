@@ -781,38 +781,60 @@ def test_machine_results_leave_the_parameters_to_main(capsys, command):
     assert list(env["payload"]) == [*parameters, *results]
 
 
-# the peak resident set of `python -m mublogic <argv>`, in KiB on Linux
-RSS_SCRIPT = """
+# the peak resident set (in KiB on Linux) and the minor page faults of
+# `python -m mublogic <argv>`
+USAGE_SCRIPT = """
 import resource, subprocess, sys
 subprocess.run([sys.executable, "-m", "mublogic", *sys.argv[1:]], stdout=subprocess.DEVNULL, check=True)
-print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+print(usage.ru_maxrss, usage.ru_minflt)
 """
+
+
+def child_usage(*argv) -> tuple[int, int]:
+    proc = subprocess.run([sys.executable, "-c", USAGE_SCRIPT, *argv],
+                          capture_output=True, text=True, env=module_env(), check=True)
+    peak_kib, faults = map(int, proc.stdout.split())
+    return peak_kib, faults
+
+
+RUN_D3 = ["run", "--d", "3", "--axiom", "0,0", "--measure", "1", "--seed", "7", "--format", "machine"]
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
 def test_run_at_the_trial_budget_peaks_below_64_mb():
     # the uniforms are drawn and counted a block at a time; drawn all at
     # once, with their outcomes, the run peaked at 191 MB
-    argv = ["run", "--d", "3", "--axiom", "0,0", "--measure", "1",
-            "--trials", str(MAX_TRIALS), "--seed", "7", "--format", "machine"]
-    proc = subprocess.run([sys.executable, "-c", RSS_SCRIPT, *argv],
-                          capture_output=True, text=True, env=module_env(), check=True)
-    assert int(proc.stdout) < 64 * 1024
+    peak_kib, _ = child_usage(*RUN_D3, "--trials", str(MAX_TRIALS))
+    assert peak_kib < 64 * 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads a child's ru_minflt on Linux")
+def test_run_draws_a_million_trials_without_faulting_in_fresh_memory():
+    # all 123 blocks are drawn in one work set, so its pages are faulted in
+    # once: about 200 more faults than one trial on a 2-vCPU Linux VM, where
+    # a new array per step, freed and faulted back in block by block, took
+    # about 24 000 more
+    _, one = child_usage(*RUN_D3, "--trials", "1")
+    _, million = child_usage(*RUN_D3, "--trials", "1000000")
+    assert million - one < 2000
 
 
 # each command at its cap (the largest prime d <= MAX_D[command]) in machine
 # format: the tail of its argv after --d, and its peak bound in MB. The
 # interpreter and the numpy import take about 29 MB of every peak; measured
-# on Linux, the peaks are 42, 58, 68, 68 and 36 MB in this order
+# on Linux, the peaks are 41, 59, 52, 52, 68 and 37 MB in this order
 CAP_PEAKS = {
     # at the cap a block holds one basis, so verify's block and work buffers
     # are d x d each, beside F and the base exponents
     "verify-mub": ((), 64),
     # the row fragments and the envelope joined from them, about 10 MB each
     "table": ((), 80),
-    # B_m, 16 MB of complex128 at d = 1009, beside its int64 exponents while
-    # it is gathered, then beside its conjugate for the gemv
-    "probs": (("--axiom", "5,3", "--measure", "2"), 96),
+    # B_m, 16 MB of complex128 at d = 1009, beside its 8 MB of int64
+    # exponents while it is gathered; it is conjugated in place for the gemv
+    "probs": (("--axiom", "5,3", "--measure", "2"), 64),
+    # the same B_m for the Born distribution; the trials add little
+    "run": (("--axiom", "5,3", "--measure", "2", "--trials", "1000", "--seed", "7"), 64),
     # the [a, b, m, n] probabilities, label counts and their difference,
     # about 8 MB each at d = 31, and the 6 MB envelope
     "cross-validate": ((), 96),
@@ -827,9 +849,8 @@ def test_command_at_its_cap_peaks_below_its_bound(command):
     tail, bound_mb = CAP_PEAKS[command]
     d = max(p for p in range(MAX_D[command] - 10, MAX_D[command] + 1) if is_prime(p))
     argv = [command, "--d", str(d), *tail, "--format", "machine"]
-    proc = subprocess.run([sys.executable, "-c", RSS_SCRIPT, *argv],
-                          capture_output=True, text=True, env=module_env(), check=True)
-    assert int(proc.stdout) < bound_mb * 1024
+    peak_kib, _ = child_usage(*argv)
+    assert peak_kib < bound_mb * 1024
 
 
 def test_decide_at_the_cap_takes_under_half_a_second_end_to_end():

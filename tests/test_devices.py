@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -256,6 +257,21 @@ def test_born_bits_are_pinned(d):
     assert digest.hexdigest() == BORN_SHA256[d]
 
 
+def test_born_holds_one_basis_matrix_beside_its_exponents():
+    # B_m is gathered through exponents summed in place and conjugated in
+    # place, so at d = 1009 the peak is B_m beside its int64 exponents, 1.5
+    # times B_m; an index sum or a conjugated copy takes it to 2 times
+    dim = Dimension(1009)
+    state = prepare(Proposition(5, 3, dim))
+    tracemalloc.start()
+    try:
+        born(state, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * 16 * dim.d**2
+
+
 def test_sample_point_mass():
     dist = np.array([0.0, 1.0, 0.0])
     for seed in range(50):
@@ -346,8 +362,11 @@ def test_trial_uniforms_match_across_a_block_boundary():
 
 
 def test_trial_uniforms_come_in_blocks():
-    sizes = [len(block) for block in trial_uniforms(3, 2 * TRIAL_BLOCK + 1)]
-    assert sizes == [TRIAL_BLOCK, TRIAL_BLOCK, 1]
+    blocks = list(trial_uniforms(3, 2 * TRIAL_BLOCK + 1))
+    assert [len(block) for block in blocks] == [TRIAL_BLOCK, TRIAL_BLOCK, 1]
+    # the blocks are drawn in one work set, but each is its own array, which
+    # a caller may keep while it draws the next
+    assert not any(np.shares_memory(x, y) for x, y in itertools.combinations(blocks, 2))
 
 
 def test_run_counts_block_by_block_as_one_bincount():
