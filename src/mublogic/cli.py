@@ -384,7 +384,9 @@ def _read_well_formed(command: str, tail: list[str]) -> argparse.Namespace | Non
         if choices is not None and value not in choices:
             return None
         values[name] = value
-    return argparse.Namespace(**values)
+    args = argparse.Namespace()
+    args.__dict__.update(values)  # Namespace(**values) sets them one setattr at a time
+    return args
 
 
 def _parse_argv(argv: list[str]) -> argparse.Namespace:

@@ -121,9 +121,20 @@ def _columns(dim: Dimension, a: int, j: np.ndarray, table=None, base=None, s=Non
     if table is None:
         table = _table(_roots(dim))
     if base is None:  # built here, so the shift is added in place
-        base = (-np.arange(d)[:, None] * j) % d
+        base = _base(d, j)
         return table[np.add(base, (-a * s) % d, out=base)]
     return table[base + (-a * s) % d]  # row k, column j
+
+
+def _base(d: int, j: np.ndarray) -> np.ndarray:
+    """The exponents (-(k j)) mod d, row k, column j, as ((d - k) j) mod d:
+    x - (x // d) d in place. NumPy divides an integer array by a scalar
+    through libdivide, which its % does not use."""
+    x = np.multiply.outer(d - np.arange(d), j)
+    q = x // d
+    q *= d
+    x -= q
+    return x
 
 
 def _sums(d: int) -> np.ndarray:
@@ -180,7 +191,7 @@ def verify(dim: Dimension, tol: float = 1e-10) -> MubReport:
     d = dim.d
     k = np.arange(d)
     eta = _roots(dim)
-    table, base, s = _table(eta), (-k[:, None] * k) % d, _sums(d)  # shared by every B_a
+    table, base, s = _table(eta), _base(d, k), _sums(d)  # shared by every B_a
     e_0, phases = k == 0, eta[:, None]
     first = np.empty((d, d + 1), dtype=np.complex128)
     g = max(1, BLOCK_ENTRIES // (d * d))

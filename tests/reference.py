@@ -51,6 +51,21 @@ def pauli_x(dim: Dimension) -> np.ndarray:
     return entries
 
 
+def per_entry_basis(dim: Dimension, a: int, eta: np.ndarray) -> np.ndarray:
+    """B_a with each entry (1/sqrt(d)) * eta[-(k j + a s_k) % d], its
+    exponent reduced by % and its root scaled after the gather, as _columns
+    once computed it."""
+    d = dim.d
+    if a == d:
+        return np.eye(d, dtype=np.complex128)
+    if d == 2 and a == 1:
+        half = 1.0 / math.sqrt(2.0)
+        return np.array([[half, half], [1j * half, -1j * half]])
+    k = np.arange(d)[:, None]
+    s = np.array([sum(range(r, d)) for r in range(d)])[:, None]
+    return (1.0 / math.sqrt(d)) * eta[-(k * np.arange(d) + a * s) % d]
+
+
 # ---------------------------------------------------------------------------
 # the logic route, function by function
 

@@ -3,8 +3,6 @@
 import argparse
 import contextlib
 import dataclasses
-import hashlib
-import importlib.util
 import io
 import json
 import math
@@ -28,6 +26,7 @@ from mublogic.devices import born
 from mublogic.experiment import CrossReport, cross_validate
 from mublogic.logic import partition_array
 from mublogic.modmath import Dimension, is_prime
+import corpus
 from reference import cells
 from reference import to_json as reference_to_json
 from test_golden import golden_argvs
@@ -49,9 +48,10 @@ def invoke_machine(capsys, *argv):
 
 
 def module_env(**overrides) -> dict:
-    """The environment for `python -m mublogic` in a subprocess: src on PYTHONPATH."""
+    """The environment for a Python subprocess: src and tests on PYTHONPATH."""
     env = dict(os.environ, **overrides)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    paths = [str(REPO / "src"), str(REPO / "tests"), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
     return env
 
 
@@ -104,21 +104,6 @@ def test_table_text_rejects_wide_dimensions(capsys):
     code, env = invoke_machine(capsys, "table", "--d", "11")
     assert code == 0
     assert len(env["payload"]["cells"]) == 12
-
-
-# sha256 of the machine `table` envelope (stdout, newline included), recorded
-# before integer arrays were serialized in one encoder call
-TABLE_ENVELOPE_SHA256 = {
-    13: "f71773a80a267645c0d4149a23dcbccfc2548ff806f98710ac7586cd689c7c50",
-    41: "e04dcdb5207f37098e93e86bc7f84dcaf70df862bd3cf87970ee33ce49e33abe",
-}
-
-
-@pytest.mark.parametrize("d", sorted(TABLE_ENVELOPE_SHA256))
-def test_table_machine_envelope_bytes_are_pinned(capsys, d):
-    code, out = invoke(capsys, "table", "--d", str(d), "--format", "machine")
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_ENVELOPE_SHA256[d]
 
 
 @pytest.mark.parametrize("d", [103, 2147483647])
@@ -667,89 +652,11 @@ def test_cross_report_template_at_least_3x_faster_than_per_cell_dicts_at_d11():
     assert 3 * best["template"] <= best["dicts"]
 
 
-# sha256 of stdout, recorded before the table and the cross-validate cells were
-# rendered from fragments, and the verify-mub reports (the cheapest and the
-# dearest verify op of the bench) after verify moved to its half gemm, and at
-# the verify-mub cap, where every block holds one basis, before verify
-# checked its bases in blocks; the goldens compare floats at FLOAT_TOL, these
-# compare every byte
-STDOUT_SHA256 = {
-    ("table", "--d", "41", "--format", "machine"):
-        "e04dcdb5207f37098e93e86bc7f84dcaf70df862bd3cf87970ee33ce49e33abe",
-    ("table", "--d", "101", "--format", "machine"):
-        "515f8869e4ea53572747e3a288b17c074751dd1965a1fb649e96d9b8de164fe9",
-    ("cross-validate", "--d", "11", "--format", "machine"):
-        "94afecc9507243bb96724aebe1dc75a189e49e13e79413f01dd975af5dd885fc",
-    ("cross-validate", "--d", "19", "--format", "machine"):
-        "1f1fcd86141f24707b379b2f1d230a742a486b432f9d576f0face7b1cb19533a",
-    ("cross-validate", "--d", "11", "--tol", "1e-20"):
-        "8598c7192ba1a5264583a95e2e2d9fd1503e6f4b6ac7c31db0b399a92a234b11",
-    ("verify-mub", "--d", "29", "--format", "machine"):
-        "8dd18cdfd7c78982db9a2d61161a83a27500dee2a5df22f76b8ee476cfc0dd6c",
-    ("verify-mub", "--d", "73", "--format", "machine"):
-        "8a7dc0303560b8860d6afecb8ce0c5bbdcbf58bd5f5ce5ad8fecc55eb2077ab0",
-    ("verify-mub", "--d", "311", "--format", "machine"):
-        "b7dac9b0499c72b7419c032679eb8e08778b6d66dce8a5c88067bd6d787cc45e",
-    ("probs", "--d", "97", "--axiom", "5,3", "--measure", "11", "--format", "machine"):
-        "767bd066c602f63d4121ab6aaccc8d9d6bfb4ced3f6ee44a0701d9765a8b4816",
-    ("probs", "--d", "1009", "--axiom", "1,1", "--measure", "0", "--format", "machine"):
-        "410091c8ec7ce09c2384603e1a0a45d04608c21d7c9c5a8f288628e6ed3d4e6d",
-}
-
-
-@pytest.mark.parametrize("argv", sorted(STDOUT_SHA256), ids=" ".join)
-def test_rendered_envelope_bytes_are_pinned(argv):
-    # in a process with one BLAS thread, as the benchmark runs: a gemv split
-    # over threads sums in other blocks, so the bits of probs --d 97 depend
-    # on the thread count
-    env = module_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-m", "mublogic", *argv], capture_output=True, env=env)
-    assert proc.returncode == (2 if "1e-20" in argv else 0)
-    assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[argv]
-
-
-# sha256 over (argv, exit code, stdout) of each benchmark op list, recorded
-# before the table rows were rendered by rotation and the cross-validate
-# cells from pre-rendered pieces; OPS_DIGEST_SCRIPT makes them
-OPS_SHA256 = {
-    "sampling": ["97f6e07750aafb56131da0d501b30379fb3ffa84bdd1642c0e7348aa19097ff2",
-                 "f9eec156d3d54a5f8a19243407fc9920148405f62eeac86a72f8a4f152fc95f2",
-                 "70f205a670f096c3f66e155424da84332f001ad1f143803e8281d0c662416a4d"],
-    "sweep": ["044cca777163c487741809148c2f0fbfe81049ca9e7c991105903e73b8b94693",
-              "dc13721ce10fa396f979385d30ae9ae5911c86d74e3ba486689de698d4262445",
-              "f81c239d82692cb49fa401be4be12620b79d9cd3f522a28aa99a9d1796a39bf5"],
-    "bases": ["572dc7f28aef051278fca192cafe04ccba1f8df9555005c8b87bcf53eb0763ce",
-              "724797ba76cd4006d8eb24343330a5a7cff10a8a9c720d9a6b3ee4e96aca3382",
-              "a97e4f46925e0251e166cf8cecd34dc8001d1baab498e273de7bb72ce8245a74"],
-}
-# argv: the path of perfbench/ops.py, which is only read, and a workload;
-# prints one digest per seed 0..2
-OPS_DIGEST_SCRIPT = """
-import contextlib, hashlib, importlib.util, io, json, sys
-from mublogic.cli import main
-spec = importlib.util.spec_from_file_location("ops", sys.argv[1])
-ops = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(ops)
-for seed in range(3):
-    digest = hashlib.sha256()
-    for argv in ops.generate(sys.argv[2], seed):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = main(argv)
-        digest.update(json.dumps([argv, code, out.getvalue()]).encode())
-    print(digest.hexdigest())
-"""
-
-
-@pytest.mark.parametrize("workload", sorted(OPS_SHA256))
-def test_benchmark_op_lists_print_the_recorded_bytes(workload):
-    # one BLAS thread, as the benchmark runs (see test_rendered_envelope_bytes_are_pinned)
-    env = module_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, "-c", OPS_DIGEST_SCRIPT, str(REPO / "perfbench" / "ops.py"), workload],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    assert proc.stdout.split() == OPS_SHA256[workload]
+def test_every_corpus_argv_prints_its_recorded_bytes():
+    # every byte of exit code, stdout and stderr; the goldens compare floats
+    captured_under, recorded = corpus.read()
+    moved = corpus.changes(recorded, corpus.run(corpus.argvs()))
+    assert not moved, "\n".join([f"captured under {captured_under}; run under {corpus.versions()}", *moved])
 
 
 def test_a_large_table_envelope_is_copied_few_times():
@@ -1106,27 +1013,10 @@ def test_generated_argvs_parse_as_by_the_full_parser(argv):
     assert_parsed_as_by_the_full_parser(argv)
 
 
-# sha256 of each help text (stdout) at 80 columns, recorded before a command's
-# parser was built on its own
-HELP_SHA256 = {
-    "": "5edfe9621b134da241d4276d0ebd5e33f6044a92c601cfbdc81b08f03f818571",
-    "table": "c569ba38fbef753387c77d35d653dc7b6f2098af8b7583c115e7ffd5ec38d067",
-    "verify-mub": "34df3223665382ea4aadca2cf03aa62fb9ffab3f8967e511c5b549b0930928b5",
-    "decide": "de449eb2f47a816e32be0fa9012903feac289853ec997b015f17c0c1d4d019ad",
-    "probs": "8cea6712e0e72b8c739db322abd5f84b58a034ee44c32462e491594fa767a804",
-    "run": "0e621afe33e7fdfb5bf951b21831d72372a630506a85c9012a5f386185351c06",
-    "cross-validate": "f5a39d778d7292ed41a022ac0e5522eb94a38b316f4bbe3943016fe808c13ce4",
-}
-
-
-@pytest.mark.parametrize("command", sorted(HELP_SHA256))
-def test_help_is_pinned_and_the_full_parsers(monkeypatch, command):
-    monkeypatch.setenv("COLUMNS", "80")
-    argv = [command, "--help"] if command else ["--help"]
-    _, code, out, err = parse_outcome(cli._parse_argv, argv)
-    assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[command]
-    assert_parsed_as_by_the_full_parser(argv)
+# each help text, its exit code 0 and its empty stderr are in the corpus
+@pytest.mark.parametrize("command", ["", *cli.COMMANDS])
+def test_help_parses_as_by_the_full_parser(command):
+    assert_parsed_as_by_the_full_parser([command, "--help"] if command else ["--help"])
 
 
 def constructed_parsers(monkeypatch, argv) -> list:
@@ -1153,11 +1043,7 @@ def test_a_well_formed_command_builds_no_parser(monkeypatch, command):
 
 
 def test_the_reader_reads_every_op_and_golden_argv_as_the_full_parser(monkeypatch):
-    spec = importlib.util.spec_from_file_location("ops", REPO / "perfbench" / "ops.py")
-    ops = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ops)
-    argvs = [argv for workload in ops.WORKLOADS for seed in range(5)
-             for argv in ops.generate(workload, seed)]
+    argvs = corpus.op_lists(range(5))
     full = cli.build_parser()
     # main parses and checks budgets, but runs no command
     monkeypatch.setattr(cli, "_HANDLERS", dict.fromkeys(cli.COMMANDS, lambda args, dim: ({}, None, "")))

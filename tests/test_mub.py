@@ -10,7 +10,7 @@ import pytest
 from mublogic import mub
 from mublogic.modmath import Dimension, is_prime
 from mublogic.mub import MubReport, basis_matrix, basis_state, verify
-from reference import basis_operator, pauli_z, root_of_unity
+from reference import basis_operator, pauli_z, per_entry_basis, root_of_unity
 
 PRIMES = [2, 3, 5]
 PRIMES_TO_31 = [p for p in range(2, 32) if is_prime(p)]
@@ -147,31 +147,32 @@ def test_basis_zero_is_ket_like_for_pin_row():
     assert np.array_equal(basis_state(d3, 3, 0), np.eye(3)[:, 0])
 
 
-def per_entry_basis(dim: Dimension, a: int, eta: np.ndarray) -> np.ndarray:
-    """B_a with each entry (1/sqrt(d)) * eta[-(k j + a s_k) % d], scaled after
-    its gather, as _columns once computed it."""
-    d = dim.d
-    if a == d:
-        return np.eye(d, dtype=np.complex128)
-    if d == 2 and a == 1:
-        half = 1.0 / math.sqrt(2.0)
-        return np.array([[half, half], [1j * half, -1j * half]])
-    k = np.arange(d)[:, None]
-    s = np.array([sum(range(r, d)) for r in range(d)])[:, None]
-    return (1.0 / math.sqrt(d)) * eta[-(k * np.arange(d) + a * s) % d]
-
-
 @pytest.mark.parametrize("d", [p for p in range(2, 102) if is_prime(p)] + [211, 311])
 def test_columns_have_the_bits_of_the_per_entry_formula(d):
-    # gathering from the table scaled in advance must not move a bit: the
-    # born sha256 pins and the envelope pins of cross-validate and table
-    # rest on these entries
+    # gathering from the table scaled in advance, at exponents reduced by
+    # floor division, must not move a bit: the born sha256 pins and the
+    # byte-identity corpus rest on these entries
     dim = Dimension(d)
     eta = np.array([root_of_unity(dim, e) for e in range(d)])
     for a in range(d + 1) if d <= 101 else (0, 1, d - 1, d):
         expected = per_entry_basis(dim, a, eta)
-        assert mub._columns(dim, a, np.arange(d)).tobytes() == expected.tobytes(), a
+        assert basis_matrix(dim, a).tobytes() == expected.tobytes(), a
         assert basis_state(dim, a, d - 1).tobytes() == expected[:, d - 1].tobytes(), a
+
+
+def test_exponents_by_floor_division_equal_those_by_modulo():
+    # mub._base reduces (d - k) j as x - (x // d) d, which numpy divides
+    # through libdivide; every exponent must be the one % gives
+    for k in (np.arange(p) for p in range(2, 1010) if is_prime(p)):
+        base, expected = mub._base(k.size, k), (-k[:, None] * k) % k.size
+        assert base.dtype == expected.dtype and np.array_equal(base, expected), k.size
+
+
+@pytest.mark.parametrize("d, a", [(d, a) for d in (2, 3, 97, 1009) for a in sorted({0, 1, d - 1, d})])
+def test_basis_matrix_has_the_bits_of_the_modulo_reference(d, a):
+    dim = Dimension(d)
+    eta = np.array([root_of_unity(dim, e) for e in range(d)])
+    assert basis_matrix(dim, a).tobytes() == per_entry_basis(dim, a, eta).tobytes()
 
 
 # ---------------------------------------------------------------------------
