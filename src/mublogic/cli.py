@@ -5,12 +5,15 @@ format the envelope is a single-line JSON document with floats rendered to
 17 significant digits (enough to round-trip any double), table rows joined
 from rotations of the d lists of pair strings "[f0, f1]", cross-validation
 cells joined from pieces rendered once per distinct value, Born
-probabilities filled into one template, and the whole envelope joined once;
-in text format it is a human-readable rendering of the same.
+probabilities filled into one template, and the envelope joined once from
+its fixed keys as literal pieces, the parameters rendered once and reused at
+the head of the payload, and the results; in text format it is a
+human-readable rendering of the same.
 
 Exit codes: 0 success, 1 usage or input error (a non-finite float in a
-machine envelope among them), 2 validation failure (a verification command
-ran but its checks did not pass).
+machine envelope among them, and a command that runs out of memory or is
+interrupted), 2 validation failure (a verification command ran but its
+checks did not pass).
 """
 
 from __future__ import annotations
@@ -62,14 +65,14 @@ class Fragment(str):
     """JSON text, rendered in advance, that to_json emits verbatim."""
 
 
-def to_json(value, end: str = "") -> str:
+def to_json(value) -> str:
     """Render a plain-python document as JSON with 17-significant-digit floats,
-    followed by `end`, in one join of the pieces _pieces lists.
+    in one join of the pieces _pieces lists.
 
     A Fragment is emitted as it is. Strings are quoted by the function
     json.dumps uses for them.
     """
-    return "".join([*_pieces(value, []), end])
+    return "".join(_pieces(value, []))
 
 
 def _finite(value: float) -> str:
@@ -97,7 +100,7 @@ def _pieces(value, out: list) -> list:
     """Append the JSON text of value to out, piece by piece; return out.
 
     A dict's or a list's leaves are rendered in its loop. A Fragment is
-    appended itself, so the one join in to_json is the only copy of its text.
+    appended itself, so the one join of the pieces is the only copy of its text.
     """
     kind = type(value)
     if kind not in _RENDERERS:
@@ -406,12 +409,8 @@ def _parse_argv(argv: list[str]) -> argparse.Namespace:
 
 def _parameters(args: argparse.Namespace) -> dict:
     """The envelope's parameters: every option of the command but --format,
-    in COMMANDS order, a pair as a list."""
-    params = {}
-    for name in _READERS[args.command][3]:
-        value = getattr(args, name)
-        params[name] = list(value) if isinstance(value, tuple) else value
-    return params
+    in COMMANDS order (a pair stays a tuple, which _pieces renders as a list)."""
+    return {name: getattr(args, name) for name in _READERS[args.command][3]}
 
 
 # ---------------------------------------------------------------------------
@@ -531,17 +530,19 @@ _HANDLERS = {
 }
 
 
-def _envelope(command: str, parameters: dict, status: str, payload, error_message) -> dict:
-    env = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "parameters": parameters,
-        "status": status,
-        "payload": payload,
-    }
-    if error_message is not None:
-        env["error_message"] = error_message
-    return env
+def _render_envelope(command: str, parameters: list[str], results: dict | None,
+                     error_message: str | None) -> str:
+    """The machine envelope and its newline, joined once from the fixed keys as literal
+    pieces, `parameters` (the _pieces of the parameters) and a payload: null, or those
+    pieces but their "}", then ", ", then the results' pieces but their "{" (no results
+    leave the parameters' pieces as they are)."""
+    status = '"ok"' if error_message is None else '"error"'
+    out = [f'{{"schema_version": "{SCHEMA_VERSION}", "command": ', _quote(command),
+           ', "parameters": ', *parameters, ', "status": ', status, ', "payload": ']
+    out += ["null"] if results is None else [
+        *parameters[:-1], ", " if results else "}", *_pieces(results, [])[1:]]
+    out += ("}\n",) if error_message is None else (', "error_message": ', _quote(error_message), "}\n")
+    return "".join(out)
 
 
 def main(argv=None) -> int:
@@ -551,19 +552,22 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
 
-    parameters = _parameters(args)
+    parameters = _pieces(_parameters(args), [])
     try:
         check_budget(args.command, args.d, getattr(args, "trials", None))
         results, failure, text = _HANDLERS[args.command](args, Dimension(args.d))
         code = 0 if failure is None else 2
         if args.format == "machine":  # rendered in the try: a non-finite float is an input error
-            status = "ok" if failure is None else "error"
-            payload = {**parameters, **results}
-            text = to_json(_envelope(args.command, parameters, status, payload, failure), "\n")
+            text = _render_envelope(args.command, parameters, results, failure)
     except ValueError as exc:
-        code, text = 1, f"error: {exc}\n"
-        if args.format == "machine":
-            text = to_json(_envelope(args.command, parameters, "error", None, str(exc)), "\n")
+        code, message = 1, str(exc)
+    except MemoryError:
+        code, message = 1, f"{args.command} ran out of memory at d = {args.d}"
+    except KeyboardInterrupt:
+        code, message = 1, f"{args.command} was interrupted at d = {args.d}"
+    if code == 1:  # rendered after the handler, which frees what the command's frames held
+        text = (_render_envelope(args.command, parameters, None, message) if args.format == "machine"
+                else f"error: {message}\n")
     _write(text)
     return code
 

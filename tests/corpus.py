@@ -1,13 +1,15 @@
 """The byte-identity corpus: for each argv of a fixed list, the sha256 of
 json.dumps([argv, exit code, stdout, stderr]), one line each in
 tests/golden/corpus.txt, under a header that records the Python, numpy and
-BLAS versions of the capture. test_cli.py checks every line; a change that
-moves bytes on purpose re-captures them, and sees each argv that moved, with
+BLAS versions of the capture, the kernel OpenBLAS picked and numpy's SIMD
+level. test_cli.py checks every line; a change that moves bytes on purpose
+re-captures them, and sees each argv that moved, with
 
     python tests/corpus.py
 """
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -82,10 +84,35 @@ def print_digests() -> None:
         print(hashlib.sha256(record.encode()).hexdigest())
 
 
+def openblas_core() -> str | None:
+    """The kernel numpy's bundled OpenBLAS picked for this CPU, or None if not found."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in libs.glob("lib*openblas*"):
+        lib = ctypes.CDLL(str(path))
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+            getter = getattr(lib, symbol, None)
+            if getter is not None:
+                getter.restype = ctypes.c_char_p
+                getter.argtypes = []
+                return getter().decode()
+    return None
+
+
+def simd_level() -> str:
+    """The highest of numpy's SIMD targets, baseline or dispatched, that this CPU runs."""
+    from numpy._core import _multiarray_umath as umath
+
+    targets = umath.__cpu_baseline__ + umath.__cpu_dispatch__
+    return [target for target in targets if umath.__cpu_features__.get(target)][-1]
+
+
 def versions() -> str:
+    """The versions and the host the bytes depend on: a gemv sums in the order
+    of the kernel OpenBLAS picks for the CPU, and numpy's loops in that of its SIMD level."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return (f"python {sys.version.split()[0]}, numpy {np.__version__}, "
-            f"blas {blas['name']} {blas['version']}")
+            f"blas {blas['name']} {blas['version']}, "
+            f"openblas core {openblas_core()}, simd {simd_level()}")
 
 
 def read() -> tuple[str, dict[tuple, str]]:

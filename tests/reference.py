@@ -4,8 +4,9 @@ Each works element by element: roots of unity and the generalized Pauli
 pair one entry at a time, the functions {0,1} -> Z_d as BinaryFunction
 objects, the paper's encoding U = X^f(0) Z^f(1) applied to |0>_a, one
 generator and one inverse-CDF draw per trial, each cross-validation cell
-classified on its own, and the JSON serializer that renders every node of
-a document as a string of its own.
+classified on its own, the JSON serializer that renders every node of a
+document as a string of its own, and the machine envelope rendered through it
+as one dict.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mublogic.cli import Fragment, _quote
+from mublogic.cli import SCHEMA_VERSION, Fragment, _quote
 from mublogic.devices import _MASK64, TRIAL_SEED_MIX
 from mublogic.experiment import CrossReport, _behavior_codes
 from mublogic.logic import (
@@ -295,3 +296,19 @@ def to_json(value) -> str:
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(to_json(v) for v in value) + "]"
     raise TypeError(f"unserializable value: {value!r}")
+
+
+def reference_envelope(command: str, parameters: dict, results: dict | None,
+                       error_message: str | None) -> str:
+    """The machine envelope line as one dict through to_json, its payload the
+    parameters merged with the results (null without results)."""
+    envelope = {
+        "schema_version": SCHEMA_VERSION,
+        "command": command,
+        "parameters": parameters,
+        "status": "ok" if error_message is None else "error",
+        "payload": None if results is None else {**parameters, **results},
+    }
+    if error_message is not None:
+        envelope["error_message"] = error_message
+    return to_json(envelope) + "\n"

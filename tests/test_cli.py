@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -27,7 +28,7 @@ from mublogic.experiment import CrossReport, cross_validate
 from mublogic.logic import partition_array
 from mublogic.modmath import Dimension, is_prime
 import corpus
-from reference import cells
+from reference import cells, reference_envelope
 from reference import to_json as reference_to_json
 from test_golden import golden_argvs
 
@@ -285,70 +286,55 @@ def test_usage_error_exit_code(capsys):
 
 
 # b and n must lie in [0, d); b is checked before a, so {9,9} names residue 9
-OUT_OF_RANGE_ENVELOPES = [
-    (
-        ("decide", "--d", "3", "--axiom", "0,5", "--theorem", "1,1"),
-        '{"schema_version": "1.0.0", "command": "decide", "parameters": {"d": 3, "axiom": [0, 5], "theorem": [1, 1]}, "status": "error", "payload": null, "error_message": "residue 5 out of range for d=3"}',
-    ),
-    (
-        ("decide", "--d", "3", "--axiom", "0,1", "--theorem", "1,-1"),
-        '{"schema_version": "1.0.0", "command": "decide", "parameters": {"d": 3, "axiom": [0, 1], "theorem": [1, -1]}, "status": "error", "payload": null, "error_message": "residue -1 out of range for d=3"}',
-    ),
-    (
-        ("decide", "--d", "3", "--axiom", "9,9", "--theorem", "1,1"),
-        '{"schema_version": "1.0.0", "command": "decide", "parameters": {"d": 3, "axiom": [9, 9], "theorem": [1, 1]}, "status": "error", "payload": null, "error_message": "residue 9 out of range for d=3"}',
-    ),
-    (
-        ("probs", "--d", "5", "--axiom", "2,7", "--measure", "1"),
-        '{"schema_version": "1.0.0", "command": "probs", "parameters": {"d": 5, "axiom": [2, 7], "measure": 1}, "status": "error", "payload": null, "error_message": "residue 7 out of range for d=5"}',
-    ),
-    (
-        ("run", "--d", "3", "--axiom", "0,3", "--measure", "1", "--trials", "10", "--seed", "1"),
-        '{"schema_version": "1.0.0", "command": "run", "parameters": {"d": 3, "axiom": [0, 3], "measure": 1, "trials": 10, "seed": 1}, "status": "error", "payload": null, "error_message": "residue 3 out of range for d=3"}',
-    ),
+OUT_OF_RANGE_ERRORS = [
+    (("decide", "--d", "3", "--axiom", "0,5", "--theorem", "1,1"), "residue 5 out of range for d=3"),
+    (("decide", "--d", "3", "--axiom", "0,1", "--theorem", "1,-1"), "residue -1 out of range for d=3"),
+    (("decide", "--d", "3", "--axiom", "9,9", "--theorem", "1,1"), "residue 9 out of range for d=3"),
+    (("probs", "--d", "5", "--axiom", "2,7", "--measure", "1"), "residue 7 out of range for d=5"),
+    (("run", "--d", "3", "--axiom", "0,3", "--measure", "1", "--trials", "10", "--seed", "1"),
+     "residue 3 out of range for d=3"),
 ]
 
 
-@pytest.mark.parametrize("argv, envelope", OUT_OF_RANGE_ENVELOPES)
-def test_out_of_range_residue_envelope(capsys, argv, envelope):
-    code = main([*argv, "--format", "machine"])
-    assert code == 1
-    assert capsys.readouterr().out == envelope + "\n"
+def assert_error_envelope(capsys, argv, message):
+    """argv in machine format exits 1 with one error envelope, its payload null,
+    and nothing on stderr; the corpus pins its bytes."""
+    assert main([*argv, "--format", "machine"]) == 1
+    out, err = capsys.readouterr()
+    env = json.loads(out)
+    assert (out.count("\n"), err) == (1, "")
+    assert (env["command"], env["status"], env["payload"]) == (argv[0], "error", None)
+    assert env["error_message"] == message
+    return env
+
+
+@pytest.mark.parametrize("argv, message", OUT_OF_RANGE_ERRORS)
+def test_out_of_range_residue_envelope(capsys, argv, message):
+    assert_error_envelope(capsys, argv, message)
 
 
 # run checks the measurement index before the trial count; unlike
 # devices.measurement, its message names no range
-RUN_BOUNDARY_ENVELOPES = [
-    (
-        ("run", "--d", "3", "--axiom", "0,0", "--measure", "9", "--trials", "10", "--seed", "1"),
-        '{"schema_version": "1.0.0", "command": "run", "parameters": {"d": 3, "axiom": [0, 0], "measure": 9, "trials": 10, "seed": 1}, "status": "error", "payload": null, "error_message": "measurement index 9 out of range"}',
-    ),
-    (
-        ("run", "--d", "3", "--axiom", "0,0", "--measure", "-1", "--trials", "10", "--seed", "1"),
-        '{"schema_version": "1.0.0", "command": "run", "parameters": {"d": 3, "axiom": [0, 0], "measure": -1, "trials": 10, "seed": 1}, "status": "error", "payload": null, "error_message": "measurement index -1 out of range"}',
-    ),
-    (
-        ("run", "--d", "3", "--axiom", "0,0", "--measure", "1", "--trials", "0", "--seed", "1"),
-        '{"schema_version": "1.0.0", "command": "run", "parameters": {"d": 3, "axiom": [0, 0], "measure": 1, "trials": 0, "seed": 1}, "status": "error", "payload": null, "error_message": "trials must be >= 1"}',
-    ),
-    (
-        ("run", "--d", "3", "--axiom", "0,0", "--measure", "1", "--trials", "-5", "--seed", "1"),
-        '{"schema_version": "1.0.0", "command": "run", "parameters": {"d": 3, "axiom": [0, 0], "measure": 1, "trials": -5, "seed": 1}, "status": "error", "payload": null, "error_message": "trials must be >= 1"}',
-    ),
-    (
-        ("run", "--d", "3", "--axiom", "0,0", "--measure", "9", "--trials", "0", "--seed", "1"),
-        '{"schema_version": "1.0.0", "command": "run", "parameters": {"d": 3, "axiom": [0, 0], "measure": 9, "trials": 0, "seed": 1}, "status": "error", "payload": null, "error_message": "measurement index 9 out of range"}',
-    ),
+RUN_BOUNDARY_ERRORS = [
+    (("run", "--d", "3", "--axiom", "0,0", "--measure", "9", "--trials", "10", "--seed", "1"),
+     "measurement index 9 out of range"),
+    (("run", "--d", "3", "--axiom", "0,0", "--measure", "-1", "--trials", "10", "--seed", "1"),
+     "measurement index -1 out of range"),
+    (("run", "--d", "3", "--axiom", "0,0", "--measure", "1", "--trials", "0", "--seed", "1"),
+     "trials must be >= 1"),
+    (("run", "--d", "3", "--axiom", "0,0", "--measure", "1", "--trials", "-5", "--seed", "1"),
+     "trials must be >= 1"),
+    (("run", "--d", "3", "--axiom", "0,0", "--measure", "9", "--trials", "0", "--seed", "1"),
+     "measurement index 9 out of range"),
 ]
 
 
-@pytest.mark.parametrize("argv, envelope", RUN_BOUNDARY_ENVELOPES,
-                         ids=[" ".join(argv[5:9]) for argv, _ in RUN_BOUNDARY_ENVELOPES])
-def test_run_boundary_errors_are_pinned(capsys, argv, envelope):
-    assert main([*argv, "--format", "machine"]) == 1
-    assert capsys.readouterr() == (envelope + "\n", "")
+@pytest.mark.parametrize("argv, message", RUN_BOUNDARY_ERRORS,
+                         ids=[" ".join(argv[5:9]) for argv, _ in RUN_BOUNDARY_ERRORS])
+def test_run_boundary_errors_are_pinned(capsys, argv, message):
+    assert_error_envelope(capsys, argv, message)
     assert main(list(argv)) == 1
-    assert capsys.readouterr() == (f"error: {json.loads(envelope)['error_message']}\n", "")
+    assert capsys.readouterr() == (f"error: {message}\n", "")
 
 
 BAD_SEEDS = ["-1", str(2**64), str(5 + 2**64), "five"]
@@ -476,12 +462,12 @@ UNSERIALIZABLE = st.sampled_from(
 )
 
 
-def documents(leaves):
+def documents(leaves, max_leaves=20):
     return st.recursive(leaves, lambda inner: st.one_of(
         st.lists(inner, max_size=4),
         st.lists(inner, max_size=4).map(tuple),
         st.dictionaries(TEXT, inner, max_size=4),
-    ), max_leaves=20)
+    ), max_leaves=max_leaves)
 
 
 @given(documents(st.one_of(PLAIN_LEAVES, FLOATS, TEXT.map(Fragment))))
@@ -504,6 +490,45 @@ def rendered_or_raised(render, document):
 @given(documents(st.one_of(PLAIN_LEAVES, FLOATS, UNSERIALIZABLE)))
 def test_to_json_raises_as_the_reference_serializer(document):
     assert rendered_or_raised(to_json, document) == rendered_or_raised(reference_to_json, document)
+
+
+# the parts of a machine envelope: parameters (never empty, since every command
+# takes --d) and results under other keys, as main merges them in the payload
+VALUES = documents(st.one_of(st.none(), st.integers(), FLOATS, TEXT, TEXT.map(Fragment)), max_leaves=6)
+COMMAND_NAMES = st.one_of(st.sampled_from(list(cli.COMMANDS)), TEXT)
+
+
+@st.composite
+def envelope_parts(draw):
+    parameters = draw(st.dictionaries(TEXT, VALUES, min_size=1, max_size=3))
+    results = draw(st.dictionaries(TEXT.filter(lambda key: key not in parameters), VALUES, max_size=3))
+    return parameters, results
+
+
+@given(COMMAND_NAMES, envelope_parts(), st.one_of(st.none(), TEXT), TEXT)
+def test_render_envelope_equals_the_reference_envelope(command, parts, failure, message):
+    parameters, results = parts
+    pieces = cli._pieces(parameters, [])
+    # ok (no failure) or failure (exit 2), then error (exit 1)
+    assert (cli._render_envelope(command, pieces, results, failure)
+            == reference_envelope(command, parameters, results, failure))
+    assert (cli._render_envelope(command, pieces, None, message)
+            == reference_envelope(command, parameters, None, message))
+
+
+@pytest.mark.parametrize("failure", [None, "failed"])
+def test_no_results_leave_the_payload_the_parameters(failure):
+    parameters = {"d": 3, "axiom": (1, 2)}
+    line = cli._render_envelope("decide", cli._pieces(parameters, []), {}, failure)
+    assert line == reference_envelope("decide", parameters, {}, failure)
+    assert json.loads(line)["payload"] == {"d": 3, "axiom": [1, 2]}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("results", [lambda bad: {"p": bad}, lambda bad: {"p": 1, "q": [0.5, {"x": bad}]}])
+def test_render_envelope_rejects_a_non_finite_result(results, bad):
+    with pytest.raises(ValueError, match="finite"):
+        cli._render_envelope("probs", cli._pieces({"d": 3}, []), results(bad), None)
 
 
 def best_of(render, repeats=5):
@@ -638,6 +663,58 @@ def test_a_non_finite_cross_validate_deviation_is_one_error_envelope(capsys, mon
     assert_one_error_envelope(capsys, ["cross-validate", "--d", "3"])
 
 
+@pytest.mark.parametrize("stop, message", [
+    (MemoryError, "probs ran out of memory at d = 5"),
+    (KeyboardInterrupt, "probs was interrupted at d = 5"),
+])
+def test_memory_error_and_interrupt_end_in_one_error_envelope(capsys, monkeypatch, stop, message):
+    jsonschema = pytest.importorskip("jsonschema")
+
+    def stopped(args, dim):
+        raise stop
+
+    monkeypatch.setitem(cli._HANDLERS, "probs", stopped)
+    argv = ["probs", "--d", "5", "--axiom", "1,2", "--measure", "3"]
+    env = assert_error_envelope(capsys, argv, message)
+    jsonschema.validate(env, json.loads(ENVELOPE_SCHEMA.read_text()))
+    assert main(argv) == 1
+    assert capsys.readouterr() == (f"error: {message}\n", "")
+
+
+# the console script, which says on stderr when mublogic.cli has imported and
+# the command has parsed its argv and started its trials
+INTERRUPTIBLE = """
+import sys
+from mublogic import cli
+trials = cli.run
+def started(*args):
+    print("running", file=sys.stderr, flush=True)
+    return trials(*args)
+cli.run = started
+cli.entrypoint()
+"""
+
+
+def test_sigint_during_a_run_ends_in_one_error_envelope():
+    jsonschema = pytest.importorskip("jsonschema")
+    argv = ["run", "--d", "3", "--axiom", "0,0", "--measure", "1", "--trials", str(MAX_TRIALS),
+            "--seed", "1", "--format", "machine"]
+    proc = subprocess.Popen([sys.executable, "-c", INTERRUPTIBLE, *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, env=module_env())
+    try:
+        assert proc.stderr.readline() == "running\n"  # 10**7 trials take about 0.7 s more
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 1 and "Traceback" not in err
+    assert out.count("\n") == 1
+    env = json.loads(out)
+    jsonschema.validate(env, json.loads(ENVELOPE_SCHEMA.read_text()))
+    assert (env["status"], env["payload"]) == ("error", None)
+    assert env["error_message"] == "run was interrupted at d = 3"
+
+
 def test_cross_report_template_at_least_3x_faster_than_per_cell_dicts_at_d11():
     report = cross_validate(Dimension(11))
     per_cell = cells(report)  # the reference rendered cells that already existed
@@ -657,6 +734,14 @@ def test_every_corpus_argv_prints_its_recorded_bytes():
     captured_under, recorded = corpus.read()
     moved = corpus.changes(recorded, corpus.run(corpus.argvs()))
     assert not moved, "\n".join([f"captured under {captured_under}; run under {corpus.versions()}", *moved])
+
+
+def test_the_corpus_header_names_the_openblas_kernel_and_simd_level():
+    # so that digests moved by another host read as a host mismatch
+    *_, core, simd = corpus.read()[0].split(", ")
+    assert core.startswith("openblas core ") and simd.startswith("simd ")
+    if "openblas" in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]:
+        assert corpus.openblas_core() is not None
 
 
 def test_a_large_table_envelope_is_copied_few_times():
@@ -929,7 +1014,7 @@ def invalid_argvs():
         ["verify-mub", "--d", "9"],
         ["verify-mub", "--d", "3", "--tol", "1e-20"],
     ]
-    argvs += [list(argv) for argv, _ in OUT_OF_RANGE_ENVELOPES + RUN_BOUNDARY_ENVELOPES]
+    argvs += [list(argv) for argv, _ in OUT_OF_RANGE_ERRORS + RUN_BOUNDARY_ERRORS]
     argvs += [
         ["run", "--d", "3", "--axiom", "0,0", "--measure", "1", "--trials", "10", "--seed", seed]
         for seed in BAD_SEEDS
